@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod codec;
 pub mod config;
 pub mod digest;
 pub mod queue;
@@ -31,7 +30,6 @@ pub mod stats;
 pub mod verify;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
-pub use codec::{Dec, Enc};
 pub use config::{
     CacheConfig, ConfigError, CoreConfig, CptConfig, CstConfig, DefenseScheme, MachineConfig,
     MemConfig, PinMode, PinnedLoadsConfig, ThreatModel, TraceConfig,

@@ -349,77 +349,6 @@ impl Stats {
     pub fn known_counter_index(&self, name: &str) -> Option<usize> {
         self.counter_index.get(name).map(|&i| i as usize)
     }
-
-    /// Encodes the full registry — names and values, in [`StatId`] /
-    /// [`HistId`] order — into `e` for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut crate::codec::Enc) {
-        let mut counter_names = vec![""; self.counters.len()];
-        for (name, &i) in &self.counter_index {
-            counter_names[i as usize] = name;
-        }
-        e.usize(self.counters.len());
-        for (i, name) in counter_names.iter().enumerate() {
-            e.str(name);
-            e.u64(self.counters[i]);
-        }
-        let mut hist_names = vec![""; self.histograms.len()];
-        for (name, &i) in &self.hist_index {
-            hist_names[i as usize] = name;
-        }
-        e.usize(self.histograms.len());
-        for (i, name) in hist_names.iter().enumerate() {
-            let h = &self.histograms[i];
-            e.str(name);
-            e.u64(h.count);
-            e.u64(h.sum);
-            e.opt_u64(h.min);
-            e.opt_u64(h.max);
-        }
-    }
-
-    /// Overlays a registry encoded by [`Stats::encode_into`] onto this
-    /// one, interning names in stream order so interned [`StatId`] /
-    /// [`HistId`] handles held elsewhere stay valid: the decoder requires
-    /// each name to land on the same dense index it was encoded at,
-    /// which holds whenever `self` was rebuilt by the same construction
-    /// path as the encoder's registry (the resume-same-job contract).
-    pub fn decode_overlay(&mut self, d: &mut crate::codec::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        for i in 0..n {
-            let name = d.str()?;
-            let v = d.u64()?;
-            let id = self.counter_id(&name);
-            if id.0 as usize != i {
-                return Err(format!(
-                    "stats: counter `{name}` decoded at index {i} but interned at {}",
-                    id.0
-                ));
-            }
-            self.counters[i] = v;
-        }
-        let n = d.usize()?;
-        for i in 0..n {
-            let name = d.str()?;
-            let count = d.u64()?;
-            let sum = d.u64()?;
-            let min = d.opt_u64()?;
-            let max = d.opt_u64()?;
-            let id = self.hist_id(&name);
-            if id.0 as usize != i {
-                return Err(format!(
-                    "stats: histogram `{name}` decoded at index {i} but interned at {}",
-                    id.0
-                ));
-            }
-            self.histograms[i] = Histogram {
-                count,
-                sum,
-                min,
-                max,
-            };
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Display for Stats {
@@ -752,42 +681,6 @@ mod tests {
         let snap = s.counter_values().to_vec();
         assert_eq!(snap[ix], 1);
         assert_eq!(snap[iy], 2);
-    }
-
-    #[test]
-    fn codec_overlay_round_trips_and_keeps_ids() {
-        let mut src = Stats::new();
-        let a = src.counter_id("a.first");
-        src.counter_id("b.zero");
-        src.add_id(a, 41);
-        src.sample("h.occ", 9);
-        src.hist_id("h.empty");
-
-        let mut e = crate::codec::Enc::new();
-        src.encode_into(&mut e);
-        let bytes = e.into_bytes();
-
-        // Fresh registry built by "the same construction path": intern
-        // the same names in the same order, values all zero.
-        let mut dst = Stats::new();
-        let da = dst.counter_id("a.first");
-        dst.counter_id("b.zero");
-        dst.hist_id("h.occ");
-        dst.hist_id("h.empty");
-        let mut d = crate::codec::Dec::new(&bytes);
-        dst.decode_overlay(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(dst.get_id(a), 41, "encoder's id valid on decoded registry");
-        assert_eq!(dst.get_id(da), 41);
-        assert_eq!(dst.histogram("h.occ"), src.histogram("h.occ"));
-        assert!(dst.histogram("h.empty").is_none());
-
-        // A registry whose interning order diverged must be rejected,
-        // not silently mis-indexed.
-        let mut skew = Stats::new();
-        skew.counter_id("b.zero");
-        let mut d = crate::codec::Dec::new(&bytes);
-        assert!(skew.decode_overlay(&mut d).unwrap_err().contains("a.first"));
     }
 
     #[test]

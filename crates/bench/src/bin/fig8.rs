@@ -5,7 +5,9 @@
 //! [--scale ...] [--cores N] [--threads N]`.
 
 use pl_base::{DefenseScheme, MachineConfig};
-use pl_bench::{print_banner, print_scheme_table, scheme_matrix_rows, unsafe_cpis};
+use pl_bench::{
+    extension_labels, print_banner, print_scheme_table, scheme_matrix_rows, unsafe_cpis,
+};
 use pl_workloads::parallel_suite;
 
 fn main() {
@@ -18,7 +20,7 @@ fn main() {
     let schemes = DefenseScheme::PROTECTED;
     let per_scheme = scheme_matrix_rows(&base, &schemes, &workloads, &baselines, args.threads);
     for (scheme, rows) in schemes.iter().zip(&per_scheme) {
-        print_scheme_table(*scheme, &names, rows);
+        print_scheme_table(*scheme, &extension_labels(&base, *scheme), &names, rows);
     }
     println!(
         "\npaper reference (geo-mean overheads, SPLASH2/PARSEC): \

@@ -1,20 +1,22 @@
 //! Extension experiment: an InvisiSpec-class invisible-speculation
-//! defense with and without Pinned Loads.
+//! defense under the Comprehensive and Spectre threat models.
 //!
 //! The paper's Section 4 lists invisible execution as a third class of
-//! baseline that Pinned Loads can augment ("pre-VP loads can be issued
-//! invisibly, but need to be followed by a second access later on",
-//! Section 1) but does not evaluate one. This harness does: pre-VP loads
-//! bind their value without touching the cache hierarchy and are
-//! validated by an exposed access at their VP, so the overhead is the
-//! validation traffic plus retirement stalls — which earlier VPs (LP/EP)
-//! directly reduce.
+//! baseline ("pre-VP loads can be issued invisibly, but need to be
+//! followed by a second access later on", Section 1) but does not
+//! evaluate one. This harness does: pre-VP loads bind their value without
+//! touching the cache hierarchy and are validated by an exposed access at
+//! their VP, so the overhead is the validation traffic plus retirement
+//! stalls. Pinned Loads cannot ride on top: exposure validation is a
+//! squash source *at* the VP, so it could squash an already-pinned load,
+//! and [`MachineConfig::validate`] rejects the LP/EP combinations. The
+//! table therefore has the Comp and Spectre columns only.
 //!
 //! Run with `cargo run --release -p pl-bench --bin invisible
 //! [--scale ...] [--cores N] [--threads N]`.
 
 use pl_base::{DefenseScheme, MachineConfig};
-use pl_bench::{print_banner, print_scheme_table, scheme_cpi_rows, unsafe_cpis};
+use pl_bench::{extension_labels, print_banner, print_scheme_table, scheme_cpi_rows, unsafe_cpis};
 use pl_workloads::{parallel_suite, spec_suite};
 
 fn main() {
@@ -36,7 +38,8 @@ fn main() {
         args.threads,
     );
     println!("\n=== SPEC17-like suite ===");
-    print_scheme_table(DefenseScheme::Invisible, &names, &rows);
+    let columns = extension_labels(&single, DefenseScheme::Invisible);
+    print_scheme_table(DefenseScheme::Invisible, &columns, &names, &rows);
 
     let multi = MachineConfig::default_multi_core(args.cores);
     let par = parallel_suite(args.cores, args.scale);
@@ -50,11 +53,17 @@ fn main() {
         args.threads,
     );
     println!("\n=== Parallel suite ({} cores) ===", args.cores);
-    print_scheme_table(DefenseScheme::Invisible, &par_names, &par_rows);
+    let par_columns = extension_labels(&multi, DefenseScheme::Invisible);
+    print_scheme_table(
+        DefenseScheme::Invisible,
+        &par_columns,
+        &par_names,
+        &par_rows,
+    );
 
     println!(
         "\nexpected shape: far cheaper than Fence+Comp (values bind early), \
          more expensive than Unsafe (double accesses + retirement stalls); \
-         LP/EP shrink the window between invisible bind and exposure."
+         Spectre exposes earlier than Comp, at the resolution of older branches."
     );
 }

@@ -32,16 +32,20 @@ use pl_workloads::{Scale, Workload};
 pub const RUN_BUDGET: u64 = 2_000_000_000;
 
 /// The Table 3 extension matrix for one defense scheme: `Comp`, `LP`,
-/// `EP`, `Spectre`.
+/// `EP`, `Spectre`, keeping only the configurations
+/// [`MachineConfig::validate`] accepts. Pinning cannot be combined with
+/// invisible speculation, so [`DefenseScheme::Invisible`] yields `Comp`
+/// and `Spectre` only.
 ///
 /// # Examples
 ///
 /// ```
 /// use pl_base::{DefenseScheme, MachineConfig};
 /// use pl_bench::extension_matrix;
-/// let m = extension_matrix(&MachineConfig::default_single_core(), DefenseScheme::Dom);
-/// let labels: Vec<&str> = m.iter().map(|(l, _)| *l).collect();
-/// assert_eq!(labels, ["Comp", "LP", "EP", "Spectre"]);
+/// let base = MachineConfig::default_single_core();
+/// let labels = |s| -> Vec<&str> { extension_matrix(&base, s).iter().map(|(l, _)| *l).collect() };
+/// assert_eq!(labels(DefenseScheme::Dom), ["Comp", "LP", "EP", "Spectre"]);
+/// assert_eq!(labels(DefenseScheme::Invisible), ["Comp", "Spectre"]);
 /// ```
 pub fn extension_matrix(
     base: &MachineConfig,
@@ -62,6 +66,9 @@ pub fn extension_matrix(
     spectre.threat_model = ThreatModel::Spectre;
 
     vec![("Comp", comp), ("LP", lp), ("EP", ep), ("Spectre", spectre)]
+        .into_iter()
+        .filter(|(_, cfg)| cfg.validate().is_ok())
+        .collect()
 }
 
 /// The unprotected baseline all CPIs are normalized to.
@@ -265,22 +272,24 @@ pub fn scheme_matrix_rows(
     baselines: &[f64],
     threads: usize,
 ) -> Vec<Vec<Vec<f64>>> {
-    let jobs: Vec<SweepJob> = schemes
+    let matrices: Vec<_> = schemes.iter().map(|&s| extension_matrix(base, s)).collect();
+    let jobs: Vec<SweepJob> = matrices
         .iter()
-        .flat_map(|&s| {
-            extension_matrix(base, s)
-                .into_iter()
-                .map(|(_, cfg)| (cfg, None))
-        })
+        .flatten()
+        .map(|(_, cfg)| (cfg.clone(), None))
         .collect();
-    let cols = jobs.len() / schemes.len().max(1);
     let per_job = sweep_cpis(&jobs, workloads, threads);
-    (0..schemes.len())
-        .map(|si| {
+    let mut first = 0;
+    matrices
+        .iter()
+        .map(|matrix| {
+            let scheme_jobs = &per_job[first..first + matrix.len()];
+            first += matrix.len();
             (0..workloads.len())
                 .map(|w| {
-                    (0..cols)
-                        .map(|c| per_job[si * cols + c][w] / baselines[w])
+                    scheme_jobs
+                        .iter()
+                        .map(|cpis| cpis[w] / baselines[w])
                         .collect()
                 })
                 .collect()
@@ -342,24 +351,37 @@ pub fn overhead_pct(normalized_cpi: f64) -> f64 {
     (normalized_cpi - 1.0) * 100.0
 }
 
-/// Prints a full normalized-CPI table for one scheme, with a trailing
-/// geometric-mean row, and returns the geo-mean values.
-pub fn print_scheme_table(scheme: DefenseScheme, names: &[String], rows: &[Vec<f64>]) -> Vec<f64> {
+/// Prints a full normalized-CPI table for one scheme under the given
+/// column labels, with a trailing geometric-mean row, and returns the
+/// geo-mean values.
+pub fn print_scheme_table(
+    scheme: DefenseScheme,
+    columns: &[&str],
+    names: &[String],
+    rows: &[Vec<f64>],
+) -> Vec<f64> {
     println!("\n--- {scheme} (normalized CPI vs Unsafe) ---");
-    println!("{}", format_header(&["Comp", "LP", "EP", "Spectre"]));
+    println!("{}", format_header(columns));
     for (name, row) in names.iter().zip(rows) {
         println!("{}", format_row(name, row));
     }
     let gm = geo_mean_rows(rows);
     println!("{}", format_row("Geo. Mean", &gm));
-    println!(
-        "overheads: Comp {:.1}%  LP {:.1}%  EP {:.1}%  Spectre {:.1}%",
-        overhead_pct(gm[0]),
-        overhead_pct(gm[1]),
-        overhead_pct(gm[2]),
-        overhead_pct(gm[3]),
-    );
+    let overheads: Vec<String> = columns
+        .iter()
+        .zip(&gm)
+        .map(|(c, &g)| format!("{c} {:.1}%", overhead_pct(g)))
+        .collect();
+    println!("overheads: {}", overheads.join("  "));
     gm
+}
+
+/// The column labels of [`extension_matrix`] for `scheme`.
+pub fn extension_labels(base: &MachineConfig, scheme: DefenseScheme) -> Vec<&'static str> {
+    extension_matrix(base, scheme)
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect()
 }
 
 /// Parsed CLI flags shared by the figure binaries.
@@ -470,6 +492,23 @@ mod tests {
             assert_eq!(m[1].1.pinned_loads.mode, PinMode::Late);
             assert_eq!(m[2].1.pinned_loads.mode, PinMode::Early);
             assert_eq!(m[3].1.threat_model, ThreatModel::Spectre);
+        }
+    }
+
+    #[test]
+    fn every_extension_matrix_config_validates() {
+        for base in [
+            MachineConfig::default_single_core(),
+            MachineConfig::default_multi_core(8),
+        ] {
+            for scheme in DefenseScheme::ALL {
+                let m = extension_matrix(&base, scheme);
+                assert!(!m.is_empty(), "{scheme}: empty matrix");
+                for (label, cfg) in &m {
+                    cfg.validate()
+                        .unwrap_or_else(|e| panic!("{scheme}/{label}: {e}"));
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! Simulation-as-a-service: a long-running job server with a
-//! content-addressed result cache and mid-run checkpointing.
+//! content-addressed result cache.
 //!
 //! Sweep experiments re-simulate the same `(workload, configuration,
 //! seed)` triples over and over — across figure binaries, across
@@ -11,23 +11,11 @@
 //! inside the config), answers repeats from an on-disk [`ResultCache`]
 //! byte-for-byte, and farms cold misses out to a worker pool.
 //!
-//! Long workloads checkpoint every `checkpoint_period` cycles via
-//! [`pl_machine::Machine::snapshot`]; a worker that dies mid-run (which
-//! the `kill_after_checkpoints` fault-injection knob simulates) loses at
-//! most one period, because the job is re-enqueued and resumed from the
-//! last [`Checkpoint`] — by whichever worker picks it up — with results
-//! bit-identical to an uninterrupted run.
-//!
-//! Checkpoints also spill to disk beside the result cache (a
-//! [`CheckpointStore`]: one `plckpt-<digest>.bin` per in-flight job,
-//! written atomically with the same temp-file + rename discipline as
-//! [`ResultCache`], payload produced by
-//! [`pl_machine::Machine::encode_state`]). A *server* restart therefore
-//! loses at most one period too: a fresh server finding a spilled
-//! checkpoint for a requested job rebuilds the machine from the job
-//! description and overlays the saved state instead of starting over.
-//! Spill files are removed when their job completes; a corrupt or
-//! mismatched file is ignored (the job just restarts from cycle zero).
+//! A worker runs each job to completion with one [`Machine::run`] call.
+//! Nothing about an unfinished run is saved: a job lost with its worker
+//! or its server is submitted again and re-run from cycle zero, which
+//! reproduces the result bit for bit because the simulator is
+//! deterministic.
 //!
 //! The wire protocol is newline-delimited JSON over TCP, parsed with the
 //! in-tree [`pl_trace::json`] parser — no new dependencies. All `u64`
@@ -41,7 +29,7 @@
 //! would poison repeats that actually wanted a trace — and would bloat
 //! the cache directory with buffers that defeat its purpose.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -54,7 +42,7 @@ use pl_base::{
 };
 use pl_isa::asm::{disassemble, parse_asm};
 use pl_isa::Reg;
-use pl_machine::{Checkpoint, Machine, RunResult, StepOutcome};
+use pl_machine::{Machine, RunResult};
 use pl_secure::VpMask;
 use pl_trace::json::{escape, parse, Value};
 use pl_workloads::Workload;
@@ -63,9 +51,6 @@ use pl_workloads::Workload;
 /// schema changes meaning so stale cache entries go cold instead of
 /// aliasing.
 pub const JOB_DIGEST_SCHEMA: u64 = 2;
-
-/// Default cycles between checkpoints for jobs that don't override it.
-pub const DEFAULT_CHECKPOINT_PERIOD: u64 = 250_000;
 
 // ---------------------------------------------------------------------
 // JSON helpers: u64-as-string encoding over the f64-backed parser.
@@ -700,117 +685,6 @@ impl ResultCache {
 }
 
 // ---------------------------------------------------------------------
-// On-disk checkpoint spill.
-// ---------------------------------------------------------------------
-
-/// Magic + version stamped on every spilled checkpoint file.
-const CKPT_MAGIC: u32 = 0x504C_434B; // "PLCK"
-const CKPT_VERSION: u32 = 1;
-
-/// The durable sibling of the in-memory checkpoint store: one
-/// `plckpt-<digest>.bin` file per in-flight job, living next to the
-/// [`ResultCache`] entries and written with the same temp-file + rename
-/// discipline, so a server killed mid-write never leaves a torn spill.
-///
-/// The payload is [`pl_machine::Machine::encode_state`] bytes behind a
-/// small canonical header (magic, version, digest, cycle, resume count).
-/// The digest in the header must match the file name's — a spill is only
-/// meaningful for the exact job that produced it, because the state
-/// stream carries no configuration or programs of its own.
-#[derive(Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-    tmp_counter: AtomicU64,
-}
-
-impl CheckpointStore {
-    /// Opens (creating if needed) a spill store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn new(dir: &Path) -> io::Result<CheckpointStore> {
-        std::fs::create_dir_all(dir)?;
-        Ok(CheckpointStore {
-            dir: dir.to_path_buf(),
-            tmp_counter: AtomicU64::new(0),
-        })
-    }
-
-    /// The file a spill with this digest lives at.
-    pub fn path_for(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("plckpt-{digest:016x}.bin"))
-    }
-
-    /// Atomically spills `state` (from
-    /// [`pl_machine::Machine::encode_state`]) for job `digest`, taken at
-    /// `cycle` after `resumed` prior resumes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn store(&self, digest: u64, cycle: u64, resumed: u64, state: &[u8]) -> io::Result<()> {
-        let mut e = pl_base::Enc::new();
-        e.u32(CKPT_MAGIC);
-        e.u32(CKPT_VERSION);
-        e.u64(digest);
-        e.u64(cycle);
-        e.u64(resumed);
-        let mut bytes = e.into_bytes();
-        bytes.extend_from_slice(state);
-        let n = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            "plckpt-{digest:016x}.tmp{n}-{}",
-            std::process::id()
-        ));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, self.path_for(digest))
-    }
-
-    /// Loads the spilled `(cycle, resumed, state)` for `digest`, or
-    /// `None` if no spill exists or the file fails validation (wrong
-    /// magic, version, or digest — e.g. truncated by a full disk). A bad
-    /// spill is deliberately indistinguishable from a missing one: the
-    /// job simply restarts from cycle zero.
-    pub fn load(&self, digest: u64) -> Option<(u64, u64, Vec<u8>)> {
-        let bytes = std::fs::read(self.path_for(digest)).ok()?;
-        let mut d = pl_base::Dec::new(&bytes);
-        if d.u32().ok()? != CKPT_MAGIC || d.u32().ok()? != CKPT_VERSION || d.u64().ok()? != digest {
-            return None;
-        }
-        let cycle = d.u64().ok()?;
-        let resumed = d.u64().ok()?;
-        Some((cycle, resumed, bytes[d.pos()..].to_vec()))
-    }
-
-    /// Removes the spill for `digest`, if any (the job completed or
-    /// errored; either way the file is dead weight).
-    pub fn remove(&self, digest: u64) {
-        let _ = std::fs::remove_file(self.path_for(digest));
-    }
-
-    /// Number of spill files currently on disk.
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| {
-                        let name = e.file_name();
-                        let name = name.to_string_lossy();
-                        name.starts_with("plckpt-") && name.ends_with(".bin")
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// `true` if no spill files are on disk.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------
 // The server.
 // ---------------------------------------------------------------------
 
@@ -829,8 +703,6 @@ pub struct ServeOptions {
     pub cache_max_entries: Option<usize>,
     /// Most total cached result bytes kept on disk (`None` = unlimited).
     pub cache_max_bytes: Option<u64>,
-    /// Default cycles between job checkpoints (jobs may override).
-    pub checkpoint_period: u64,
     /// When set, the actual bound port is written here once listening —
     /// how scripts using port 0 discover the address.
     pub port_file: Option<PathBuf>,
@@ -844,7 +716,6 @@ impl Default for ServeOptions {
             cache_dir: PathBuf::from("plcache"),
             cache_max_entries: None,
             cache_max_bytes: None,
-            checkpoint_period: DEFAULT_CHECKPOINT_PERIOD,
             port_file: None,
         }
     }
@@ -855,35 +726,17 @@ struct Job {
     cfg: MachineConfig,
     mask: Option<VpMask>,
     workload: Workload,
-    checkpoint_period: u64,
-    /// Fault injection: abandon the run after taking this many
-    /// checkpoints in the current attempt (`None` = run to completion).
-    kill_after: Option<u64>,
-    reply: mpsc::Sender<Result<JobDone, String>>,
-}
-
-struct JobDone {
-    result_json: String,
-    resumed: u64,
+    /// Receives the canonical result JSON, or the job-level error.
+    reply: mpsc::Sender<Result<String, String>>,
 }
 
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    /// In-memory checkpoint store: digest -> (latest checkpoint, times
-    /// this job has been resumed). The fast path for a *worker* death —
-    /// the requeued job resumes without touching disk. A *server* death
-    /// falls back to the on-disk [`CheckpointStore`] spill.
-    checkpoints: Mutex<HashMap<u64, (Checkpoint, u64)>>,
     cache: ResultCache,
-    /// Durable checkpoint spill, sharing the cache directory.
-    ckpt: CheckpointStore,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Checkpoint spill files written this process (`stats` reports it;
-    /// the restart test asserts the write path actually ran).
-    spills: AtomicU64,
     local_addr: Mutex<Option<SocketAddr>>,
 }
 
@@ -905,145 +758,37 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.queue_cv.wait(queue).expect("job queue wait");
             }
         };
-        run_job(shared, job);
+        let _ = job.reply.send(run_job(shared, &job));
     }
 }
 
-fn run_job(shared: &Shared, job: Job) {
-    // Resume from the latest in-memory checkpoint if one exists (worker
-    // death); failing that, from an on-disk spill (server death);
-    // otherwise build a fresh machine from the job description.
-    let entry = shared
-        .checkpoints
-        .lock()
-        .expect("checkpoint store lock")
-        .remove(&job.digest);
-    let (mut machine, resumed) = match entry {
-        Some((cp, prior_resumes)) => (Machine::restore(&cp), prior_resumes + 1),
-        None => {
-            if job.workload.cores() > job.cfg.num_cores {
-                let _ = job.reply.send(Err(format!(
-                    "workload `{}` needs {} cores but the config has {}",
-                    job.workload.name,
-                    job.workload.cores(),
-                    job.cfg.num_cores
-                )));
-                return;
-            }
-            // The state stream carries no configuration or programs, so
-            // the overlay target must be built exactly as a fresh run
-            // would be — config, workload, mask — before decoding.
-            let build = || -> Result<Machine, String> {
-                let mut m = Machine::new(&job.cfg).map_err(|e| format!("invalid config: {e}"))?;
-                job.workload.install(&mut m);
-                if let Some(mask) = job.mask {
-                    m.set_vp_mask(mask);
-                }
-                Ok(m)
-            };
-            let mut m = match build() {
-                Ok(m) => m,
-                Err(e) => {
-                    let _ = job.reply.send(Err(e));
-                    return;
-                }
-            };
-            let mut resumed = 0;
-            if cacheable(&job.cfg) {
-                if let Some((_cycle, prior_resumes, state)) = shared.ckpt.load(job.digest) {
-                    if m.decode_state_into(&state).is_ok() {
-                        resumed = prior_resumes + 1;
-                    } else {
-                        // A failed decode leaves the machine partially
-                        // overwritten; discard it and restart clean.
-                        m = match build() {
-                            Ok(m) => m,
-                            Err(e) => {
-                                let _ = job.reply.send(Err(e));
-                                return;
-                            }
-                        };
-                    }
-                }
-            }
-            (m, resumed)
-        }
-    };
-    let mut taken_this_attempt = 0u64;
-    let result = loop {
-        let pause = machine
-            .now()
-            .raw()
-            .saturating_add(job.checkpoint_period.max(1));
-        match machine.run_until(crate::RUN_BUDGET, pause) {
-            Ok(StepOutcome::Done(res)) => break res,
-            Ok(StepOutcome::Paused) => {
-                let cp = machine.snapshot();
-                shared
-                    .checkpoints
-                    .lock()
-                    .expect("checkpoint store lock")
-                    .insert(job.digest, (cp, resumed));
-                if cacheable(&job.cfg) {
-                    // Spill the same checkpoint to disk so a *server*
-                    // restart resumes too. A failed write is non-fatal:
-                    // the in-memory copy still covers worker deaths.
-                    let state = machine.encode_state();
-                    if shared
-                        .ckpt
-                        .store(job.digest, machine.now().raw(), resumed, &state)
-                        .is_ok()
-                    {
-                        shared.spills.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                taken_this_attempt += 1;
-                if job.kill_after.is_some_and(|k| taken_this_attempt >= k) {
-                    // Simulate this worker dying mid-run: drop the live
-                    // machine and put the job back on the queue. The
-                    // checkpoint just stored is all that survives; the
-                    // next worker resumes from it.
-                    let requeued = Job {
-                        kill_after: None,
-                        ..job
-                    };
-                    let mut queue = shared.queue.lock().expect("job queue lock");
-                    queue.push_back(requeued);
-                    shared.queue_cv.notify_one();
-                    return;
-                }
-            }
-            Err(e) => {
-                shared
-                    .checkpoints
-                    .lock()
-                    .expect("checkpoint store lock")
-                    .remove(&job.digest);
-                shared.ckpt.remove(job.digest);
-                let _ = job
-                    .reply
-                    .send(Err(format!("workload `{}`: {e}", job.workload.name)));
-                return;
-            }
-        }
-    };
-    shared
-        .checkpoints
-        .lock()
-        .expect("checkpoint store lock")
-        .remove(&job.digest);
-    shared.ckpt.remove(job.digest);
+/// Builds the job's machine, runs it to completion, and stores the
+/// result in the cache when the job is cacheable.
+fn run_job(shared: &Shared, job: &Job) -> Result<String, String> {
+    if job.workload.cores() > job.cfg.num_cores {
+        return Err(format!(
+            "workload `{}` needs {} cores but the config has {}",
+            job.workload.name,
+            job.workload.cores(),
+            job.cfg.num_cores
+        ));
+    }
+    let mut machine = Machine::new(&job.cfg).map_err(|e| format!("invalid config: {e}"))?;
+    job.workload.install(&mut machine);
+    if let Some(mask) = job.mask {
+        machine.set_vp_mask(mask);
+    }
+    let result = machine
+        .run(crate::RUN_BUDGET)
+        .map_err(|e| format!("workload `{}`: {e}", job.workload.name))?;
     let json = result_to_json(&result);
     if cacheable(&job.cfg) {
-        if let Err(e) = shared.cache.store(job.digest, &json) {
-            let _ = job.reply.send(Err(format!("cache store failed: {e}")));
-            return;
-        }
+        shared
+            .cache
+            .store(job.digest, &json)
+            .map_err(|e| format!("cache store failed: {e}"))?;
     }
-    let _ = job.reply.send(Ok(JobDone {
-        result_json: json,
-        resumed,
-    }));
+    Ok(json)
 }
 
 fn respond(stream: &mut TcpStream, line: &str) {
@@ -1088,16 +833,13 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> bool {
         Some("stats") => {
             let hits = shared.hits.load(Ordering::Relaxed);
             let misses = shared.misses.load(Ordering::Relaxed);
-            let spills = shared.spills.load(Ordering::Relaxed);
             respond(
                 &mut stream,
                 &format!(
-                    "{{\"cache_entries\":{},\"cache_evictions\":{},\"ckpt_entries\":{},\
-                     \"ckpt_spills\":{},\"hits\":{},\"misses\":{},\"ok\":true}}",
+                    "{{\"cache_entries\":{},\"cache_evictions\":{},\"hits\":{},\
+                     \"misses\":{},\"ok\":true}}",
                     shared.cache.len(),
                     ju64(shared.cache.evictions()),
-                    shared.ckpt.len(),
-                    ju64(spills),
                     ju64(hits),
                     ju64(misses),
                 ),
@@ -1138,20 +880,11 @@ fn handle_run(shared: &Shared, req: &Value) -> Result<String, String> {
         if let Some(raw) = shared.cache.lookup(digest) {
             shared.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(format!(
-                "{{\"cached\":true,\"digest\":\"{digest:016x}\",\"ok\":true,\
-                 \"resumed\":\"0\",\"result\":{raw}}}"
+                "{{\"cached\":true,\"digest\":\"{digest:016x}\",\"ok\":true,\"result\":{raw}}}"
             ));
         }
     }
     shared.misses.fetch_add(1, Ordering::Relaxed);
-    let kill_after = match job_v.get("kill_after_checkpoints") {
-        None | Some(Value::Null) => None,
-        Some(_) => Some(get_u64(job_v, "kill_after_checkpoints")?),
-    };
-    let checkpoint_period = match job_v.get("checkpoint_period") {
-        None | Some(Value::Null) => None,
-        Some(_) => Some(get_u64(job_v, "checkpoint_period")?),
-    };
     let (tx, rx) = mpsc::channel();
     {
         let mut queue = shared.queue.lock().expect("job queue lock");
@@ -1160,19 +893,15 @@ fn handle_run(shared: &Shared, req: &Value) -> Result<String, String> {
             cfg,
             mask,
             workload,
-            checkpoint_period: checkpoint_period.unwrap_or(DEFAULT_CHECKPOINT_PERIOD),
-            kill_after,
             reply: tx,
         });
         shared.queue_cv.notify_one();
     }
-    let done = rx
+    let result_json = rx
         .recv()
         .map_err(|_| "worker dropped the job (server shutting down?)".to_string())??;
     Ok(format!(
-        "{{\"cached\":false,\"digest\":\"{digest:016x}\",\"ok\":true,\
-         \"resumed\":\"{}\",\"result\":{}}}",
-        done.resumed, done.result_json
+        "{{\"cached\":false,\"digest\":\"{digest:016x}\",\"ok\":true,\"result\":{result_json}}}"
     ))
 }
 
@@ -1195,16 +924,13 @@ pub fn serve(opts: &ServeOptions) -> io::Result<()> {
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        checkpoints: Mutex::new(HashMap::new()),
         cache: ResultCache::with_limits(
             &opts.cache_dir,
             opts.cache_max_entries,
             opts.cache_max_bytes,
         )?,
-        ckpt: CheckpointStore::new(&opts.cache_dir)?,
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
-        spills: AtomicU64::new(0),
         local_addr: Mutex::new(Some(local)),
     };
     let threads = opts.threads.max(1);
@@ -1261,29 +987,15 @@ pub fn request(addr: &str, line: &str) -> io::Result<String> {
 }
 
 /// Builds a `run` request line for a job.
-pub fn run_request_json(
-    cfg: &MachineConfig,
-    mask: Option<VpMask>,
-    workload: &Workload,
-    kill_after_checkpoints: Option<u64>,
-    checkpoint_period: Option<u64>,
-) -> String {
-    let mut extras = String::new();
-    if let Some(k) = kill_after_checkpoints {
-        extras.push_str(&format!(",\"kill_after_checkpoints\":{}", ju64(k)));
-    }
-    if let Some(p) = checkpoint_period {
-        extras.push_str(&format!(",\"checkpoint_period\":{}", ju64(p)));
-    }
+pub fn run_request_json(cfg: &MachineConfig, mask: Option<VpMask>, workload: &Workload) -> String {
     let mask_json = match mask {
         None => "null".to_string(),
         Some(m) => mask_to_json(&m),
     };
     format!(
-        "{{\"cmd\":\"run\",\"job\":{{\"config\":{},\"mask\":{}{},\"workload\":{}}}}}",
+        "{{\"cmd\":\"run\",\"job\":{{\"config\":{},\"mask\":{},\"workload\":{}}}}}",
         config_to_json(cfg),
         mask_json,
-        extras,
         workload_to_json(workload),
     )
 }
@@ -1337,7 +1049,7 @@ pub fn remote_run(
     mask: Option<VpMask>,
     workload: &Workload,
 ) -> Result<RunResult, String> {
-    let line = run_request_json(cfg, mask, workload, None, None);
+    let line = run_request_json(cfg, mask, workload);
     let resp = request(addr, &line).map_err(|e| format!("connect {addr}: {e}"))?;
     let raw = extract_result(&resp)?;
     let v = parse(raw).map_err(|e| format!("bad result payload: {e}"))?;
@@ -1484,7 +1196,7 @@ mod tests {
 
     #[test]
     fn extract_result_splices_raw_bytes() {
-        let resp = "{\"cached\":true,\"digest\":\"00ff\",\"ok\":true,\"resumed\":\"0\",\
+        let resp = "{\"cached\":true,\"digest\":\"00ff\",\"ok\":true,\
                     \"result\":{\"cycles\":\"7\"}}";
         assert_eq!(extract_result(resp).unwrap(), "{\"cycles\":\"7\"}");
         assert!(response_was_cached(resp));
@@ -1498,75 +1210,5 @@ mod tests {
         assert!(cacheable(&cfg));
         cfg.trace = pl_base::TraceConfig::enabled();
         assert!(!cacheable(&cfg));
-    }
-
-    #[test]
-    fn checkpoint_spill_round_trips_and_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("plserve-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir).unwrap();
-        assert!(store.load(7).is_none());
-
-        let state = vec![0xA5u8; 300];
-        store.store(7, 123_456, 2, &state).unwrap();
-        assert_eq!(store.len(), 1);
-        let (cycle, resumed, back) = store.load(7).unwrap();
-        assert_eq!((cycle, resumed), (123_456, 2));
-        assert_eq!(back, state);
-
-        // Wrong digest in the header (file renamed/aliased): rejected.
-        std::fs::rename(store.path_for(7), store.path_for(8)).unwrap();
-        assert!(store.load(8).is_none());
-        std::fs::rename(store.path_for(8), store.path_for(7)).unwrap();
-
-        // A newer store overwrites atomically.
-        store.store(7, 200_000, 3, &state).unwrap();
-        assert_eq!(store.load(7).unwrap().0, 200_000);
-        assert_eq!(store.len(), 1);
-
-        // Truncated and garbage files read as missing, not as errors.
-        std::fs::write(store.path_for(9), b"PL").unwrap();
-        assert!(store.load(9).is_none());
-        std::fs::write(store.path_for(10), vec![0u8; 64]).unwrap();
-        assert!(store.load(10).is_none());
-
-        store.remove(7);
-        assert!(store.load(7).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spilled_machine_state_resumes_bit_identically() {
-        // The spill payload really is a resumable machine: encode at a
-        // mid-run pause, overlay onto a freshly built twin, and the twin
-        // must finish with the original's exact result.
-        let cfg = MachineConfig::default_single_core();
-        let w = test_workload();
-        let mut reference = Machine::new(&cfg).unwrap();
-        w.install(&mut reference);
-        let expect = reference.run(crate::RUN_BUDGET).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("plserve-spill-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir).unwrap();
-        let digest = job_digest(&cfg, None, &w);
-        let mut first = Machine::new(&cfg).unwrap();
-        w.install(&mut first);
-        let pause = (expect.cycles / 2).max(1);
-        match first.run_until(crate::RUN_BUDGET, pause).unwrap() {
-            StepOutcome::Paused => {}
-            StepOutcome::Done(_) => panic!("job finished before the mid-run pause"),
-        }
-        let state = first.encode_state();
-        store.store(digest, first.now().raw(), 0, &state).unwrap();
-        drop(first); // the "server death": only the spill survives
-
-        let (_cycle, _resumed, state) = store.load(digest).unwrap();
-        let mut twin = Machine::new(&cfg).unwrap();
-        w.install(&mut twin);
-        twin.decode_state_into(&state).unwrap();
-        let got = twin.run(crate::RUN_BUDGET).unwrap();
-        assert_eq!(result_to_json(&got), result_to_json(&expect));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,14 +20,14 @@ use std::sync::Arc;
 
 use pl_base::verify::{VP_ALIAS, VP_CTRL, VP_EXCEPTION};
 use pl_base::{
-    Addr, CheckEvent, CheckSink, CoreId, CoreSnapshot, Cycle, Dec, Enc, HistId, InvalidateCause,
-    LineAddr, LineMode, MachineConfig, Mutation, PinMode, SeqNum, StatId, Stats,
+    Addr, CheckEvent, CheckSink, CoreId, CoreSnapshot, Cycle, HistId, InvalidateCause, LineAddr,
+    LineMode, MachineConfig, Mutation, PinMode, SeqNum, StatId, Stats,
 };
 use pl_isa::{Inst, Operand, Pc, Program, Reg};
 use pl_mem::{
     home_slice, Cache, DataGrant, Memory, Mesi, Msg, MshrFile, NodeId, WbState, WriteBuffer,
 };
-use pl_predictor::{BranchPredictor, Checkpoint, Ras};
+use pl_predictor::BranchPredictor;
 use pl_secure::scheme::LoadContext;
 use pl_secure::{IssuePolicy, PinGovernor, PinState, TaintTracker, VpMask, VpStatus};
 use pl_trace::{EventKind, TraceSource, Tracer};
@@ -3756,376 +3756,6 @@ impl Core {
             && *lq_words == probe.lq_words
             && *lq_status == probe.lq_status
     }
-
-    // ------------------------------------------------------------------
-    // Checkpoint codec
-    // ------------------------------------------------------------------
-
-    /// Encodes the complete simulation state of this core for a
-    /// checkpoint spill. Trace and verify sinks are not captured —
-    /// spills are gated to runs with both disabled — and per-tick
-    /// scratch buffers are empty between ticks by construction.
-    pub fn encode_into(&self, e: &mut Enc) {
-        self.bp.encode_into(e);
-        e.usize(self.fetch_pc.0);
-        e.bool(self.fetch_halted);
-        e.u64(self.fetch_stalled_until.raw());
-        e.usize(self.fetch_buf.len());
-        for f in &self.fetch_buf {
-            e.usize(f.pc.0);
-            encode_opt_pred(e, &f.pred);
-        }
-        e.usize(self.rob.len());
-        for r in &self.rob {
-            encode_dyninst(e, r);
-        }
-        e.u64(self.next_seq.0);
-        for r in &self.rename {
-            e.opt_u64(r.map(|s| s.0));
-        }
-        for &v in &self.regfile {
-            e.u64(v);
-        }
-        e.usize(self.lq.len());
-        for l in &self.lq {
-            encode_lq_entry(e, l);
-        }
-        e.usize(self.sq.len());
-        for s in &self.sq {
-            e.u64(s.seq.0);
-            e.opt_u64(s.addr.map(|a| a.raw()));
-            e.opt_u64(s.data);
-        }
-        self.wb.encode_into(e);
-        e.bool(self.wb_needs_unblock);
-        self.l1
-            .encode_into(e, &mut |e, m: &Mesi| e.u8(mesi_tag(*m)));
-        self.mshrs.encode_into(e);
-        e.usize(self.pending_installs.len());
-        for p in &self.pending_installs {
-            e.u64(p.line.raw());
-            e.u8(mesi_tag(p.state));
-            match p.action {
-                InstallAction::ReadFill => e.u8(0),
-                InstallAction::WriteMerge { needs_unblock } => {
-                    e.u8(1);
-                    e.bool(needs_unblock);
-                }
-                InstallAction::AtomicFinish { needs_unblock } => {
-                    e.u8(2);
-                    e.bool(needs_unblock);
-                }
-            }
-            e.u64(p.retry_at.raw());
-        }
-        e.usize(self.read_retries.len());
-        for &(c, l) in &self.read_retries {
-            e.u64(c.raw());
-            e.u64(l.raw());
-        }
-        self.governor.encode_into(e);
-        self.taint.encode_into(e);
-        e.bool(self.atomic.active);
-        e.u64(self.atomic.line.raw());
-        e.bool(self.atomic.use_star);
-        e.usize(self.atomic.acks_pending);
-        e.bool(self.atomic.saw_defer);
-        e.bool(self.atomic.have_data);
-        e.bool(self.atomic.needs_unblock);
-        e.bool(self.atomic.waiting_retry);
-        e.u64(self.atomic.retry_at.raw());
-        e.usize(self.arch_call_stack.len());
-        for pc in &self.arch_call_stack {
-            e.usize(pc.0);
-        }
-        e.opt_u64(self.aggr.oldest_unresolved_ctrl.map(|s| s.0));
-        e.opt_u64(self.aggr.oldest_unknown_store_addr.map(|s| s.0));
-        e.opt_u64(self.aggr.oldest_unknown_mem_addr.map(|s| s.0));
-        e.opt_u64(self.aggr.oldest_active_fence.map(|s| s.0));
-        e.usize(self.outbox.len());
-        for (dst, msg) in &self.outbox {
-            dst.encode_into(e);
-            msg.encode_into(e);
-        }
-        e.bool(self.mutation_armed);
-        self.stats.encode_into(e);
-        e.bool(self.halted);
-        e.u64(self.retired);
-        e.usize(self.issue_flags.len());
-        for &f in &self.issue_flags {
-            e.u8(f);
-        }
-        e.usize(self.lq_flags.len());
-        for &f in &self.lq_flags {
-            e.u8(f);
-        }
-        for q in [
-            &self.agg_ctrl,
-            &self.agg_fence,
-            &self.agg_mem,
-            &self.agg_store,
-        ] {
-            e.usize(q.len());
-            for s in q {
-                e.u64(s.0);
-            }
-        }
-        let heap = heap_sorted(&self.exec_heap);
-        e.usize(heap.len());
-        for (c, s) in heap {
-            e.u64(c.raw());
-            e.u64(s.0);
-        }
-    }
-
-    /// Overlays state encoded by [`Core::encode_into`] onto a freshly
-    /// constructed core with the same id, configuration, and program.
-    /// Derived structures that the encoding omits — the issue-candidate
-    /// queue, the LQ SoA mirror, and the visit count — are rebuilt from
-    /// the decoded state.
-    pub fn decode_overlay(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
-        self.bp.decode_overlay(d)?;
-        self.fetch_pc = Pc(d.usize()?);
-        self.fetch_halted = d.bool()?;
-        self.fetch_stalled_until = Cycle(d.u64()?);
-        self.fetch_buf.clear();
-        for _ in 0..d.usize()? {
-            let pc = Pc(d.usize()?);
-            let pred = self.decode_opt_pred(d)?;
-            self.fetch_buf.push_back(Fetched {
-                pc,
-                inst: self.program.fetch(pc),
-                pred,
-            });
-        }
-        self.rob.clear();
-        for _ in 0..d.usize()? {
-            let di = self.decode_dyninst(d)?;
-            self.rob.push_back(di);
-        }
-        self.next_seq = SeqNum(d.u64()?);
-        for r in self.rename.iter_mut() {
-            *r = d.opt_u64()?.map(SeqNum);
-        }
-        for v in self.regfile.iter_mut() {
-            *v = d.u64()?;
-        }
-        self.lq.clear();
-        for _ in 0..d.usize()? {
-            let l = decode_lq_entry(d)?;
-            self.lq.push(l);
-        }
-        self.sq.clear();
-        for _ in 0..d.usize()? {
-            self.sq.push(SqEntry {
-                seq: SeqNum(d.u64()?),
-                addr: d.opt_u64()?.map(Addr::new),
-                data: d.opt_u64()?,
-            });
-        }
-        self.wb.decode_overlay(d)?;
-        self.wb_needs_unblock = d.bool()?;
-        self.l1.decode_overlay(d, &mut |d| mesi_from(d.u8()?))?;
-        self.mshrs.decode_overlay(d)?;
-        self.pending_installs.clear();
-        for _ in 0..d.usize()? {
-            let line = LineAddr::from_line_number(d.u64()?);
-            let state = mesi_from(d.u8()?)?;
-            let action = match d.u8()? {
-                0 => InstallAction::ReadFill,
-                1 => InstallAction::WriteMerge {
-                    needs_unblock: d.bool()?,
-                },
-                2 => InstallAction::AtomicFinish {
-                    needs_unblock: d.bool()?,
-                },
-                t => return Err(format!("core: bad install-action tag {t}")),
-            };
-            let retry_at = Cycle(d.u64()?);
-            self.pending_installs.push(PendingInstall {
-                line,
-                state,
-                action,
-                retry_at,
-            });
-        }
-        self.read_retries.clear();
-        for _ in 0..d.usize()? {
-            let c = Cycle(d.u64()?);
-            let l = LineAddr::from_line_number(d.u64()?);
-            self.read_retries.push((c, l));
-        }
-        self.governor.decode_overlay(d)?;
-        self.taint.decode_overlay(d)?;
-        self.atomic = AtomicTxn {
-            active: d.bool()?,
-            line: LineAddr::from_line_number(d.u64()?),
-            use_star: d.bool()?,
-            acks_pending: d.usize()?,
-            saw_defer: d.bool()?,
-            have_data: d.bool()?,
-            needs_unblock: d.bool()?,
-            waiting_retry: d.bool()?,
-            retry_at: Cycle(d.u64()?),
-        };
-        self.arch_call_stack.clear();
-        for _ in 0..d.usize()? {
-            self.arch_call_stack.push(Pc(d.usize()?));
-        }
-        self.aggr = Aggregates {
-            oldest_unresolved_ctrl: d.opt_u64()?.map(SeqNum),
-            oldest_unknown_store_addr: d.opt_u64()?.map(SeqNum),
-            oldest_unknown_mem_addr: d.opt_u64()?.map(SeqNum),
-            oldest_active_fence: d.opt_u64()?.map(SeqNum),
-        };
-        self.outbox.clear();
-        for _ in 0..d.usize()? {
-            let dst = NodeId::decode(d)?;
-            let msg = Msg::decode(d)?;
-            self.outbox.push((dst, msg));
-        }
-        self.mutation_armed = d.bool()?;
-        self.stats.decode_overlay(d)?;
-        self.halted = d.bool()?;
-        self.retired = d.u64()?;
-        self.issue_flags.clear();
-        for _ in 0..d.usize()? {
-            let f = d.u8()?;
-            if f > ISSUE_PARKED {
-                return Err(format!("core: bad issue flag {f}"));
-            }
-            self.issue_flags.push_back(f);
-        }
-        if self.issue_flags.len() != self.rob.len() {
-            return Err(format!(
-                "core: {} issue flags for {} ROB entries",
-                self.issue_flags.len(),
-                self.rob.len()
-            ));
-        }
-        self.lq_flags.clear();
-        for _ in 0..d.usize()? {
-            let f = d.u8()?;
-            if f > LQ_VISIT {
-                return Err(format!("core: bad LQ flag {f}"));
-            }
-            self.lq_flags.push_back(f);
-        }
-        if self.lq_flags.len() != self.lq.len() {
-            return Err(format!(
-                "core: {} LQ flags for {} LQ entries",
-                self.lq_flags.len(),
-                self.lq.len()
-            ));
-        }
-        for q in [
-            &mut self.agg_ctrl,
-            &mut self.agg_fence,
-            &mut self.agg_mem,
-            &mut self.agg_store,
-        ] {
-            q.clear();
-        }
-        for i in 0..4 {
-            let n = d.usize()?;
-            for _ in 0..n {
-                let s = SeqNum(d.u64()?);
-                match i {
-                    0 => self.agg_ctrl.push_back(s),
-                    1 => self.agg_fence.push_back(s),
-                    2 => self.agg_mem.push_back(s),
-                    _ => self.agg_store.push_back(s),
-                }
-            }
-        }
-        self.exec_heap.clear();
-        for _ in 0..d.usize()? {
-            let c = Cycle(d.u64()?);
-            let s = SeqNum(d.u64()?);
-            self.exec_heap.push(Reverse((c, s)));
-        }
-        // Rebuild the derived structures the encoding omits.
-        self.issue_queue.clear();
-        for (r, &f) in self.rob.iter().zip(self.issue_flags.iter()) {
-            if f == ISSUE_CHECK {
-                self.issue_queue.push_back(r.seq);
-            }
-        }
-        self.lq_visit_count = self.lq_flags.iter().filter(|&&f| f == LQ_VISIT).count();
-        self.lq_words.clear();
-        self.lq_status.clear();
-        for i in 0..self.lq.len() {
-            self.lq_words.push(LQ_NO_WORD);
-            self.lq_status.push(0);
-            self.lq_sync(i);
-        }
-        debug_assert!(self.lq_flags_consistent());
-        debug_assert!(self.lq_soa_consistent());
-        Ok(())
-    }
-
-    fn decode_opt_pred(&self, d: &mut Dec<'_>) -> Result<Option<PredInfo>, String> {
-        if !d.bool()? {
-            return Ok(None);
-        }
-        let taken = d.bool()?;
-        let target = Pc(d.usize()?);
-        let ghr = d.u64()?;
-        let mut ras = Ras::new(self.cfg.core.ras_entries);
-        ras.decode_overlay(d)?;
-        Ok(Some(PredInfo {
-            taken,
-            target,
-            checkpoint: Checkpoint { ghr, ras },
-        }))
-    }
-
-    fn decode_dyninst(&self, d: &mut Dec<'_>) -> Result<DynInst, String> {
-        let seq = SeqNum(d.u64()?);
-        let pc = Pc(d.usize()?);
-        let stage = match d.u8()? {
-            0 => Stage::Dispatched,
-            1 => Stage::Executing {
-                done_at: Cycle(d.u64()?),
-            },
-            2 => Stage::Completed,
-            t => return Err(format!("core: bad stage tag {t}")),
-        };
-        let result = d.opt_u64()?;
-        let pred = self.decode_opt_pred(d)?;
-        let prev_map = if d.bool()? {
-            let r = decode_reg(d)?;
-            Some((r, d.opt_u64()?.map(SeqNum)))
-        } else {
-            None
-        };
-        let mut srcs = SrcList::new();
-        let n = d.u8()?;
-        if n > 3 {
-            return Err(format!(
-                "core: {n} encoded sources exceed the inline capacity"
-            ));
-        }
-        for _ in 0..n {
-            let r = decode_reg(d)?;
-            srcs.push(r, d.opt_u64()?.map(SeqNum));
-        }
-        Ok(DynInst {
-            seq,
-            pc,
-            inst: self.program.fetch(pc),
-            stage,
-            result,
-            pred,
-            prev_map,
-            srcs,
-            dispatched_at: Cycle(d.u64()?),
-            issue_done: d.bool()?,
-            issue_blocked_on: d.opt_u64()?.map(SeqNum),
-            first_waiter: d.opt_u64()?.map(SeqNum),
-            next_waiter: d.opt_u64()?.map(SeqNum),
-        })
-    }
 }
 
 /// Dense-seq ROB lookup usable while another field of `Core` is borrowed.
@@ -4169,136 +3799,12 @@ pub struct SpinDelta {
 }
 
 /// The exec-completion heap as a sorted vector, for order-insensitive
-/// comparison and canonical encoding. The heap's *contents* are what
+/// comparison. The heap's *contents* are what
 /// matter — two heaps with the same elements pop identically.
 fn heap_sorted(h: &BinaryHeap<Reverse<(Cycle, SeqNum)>>) -> Vec<(Cycle, SeqNum)> {
     let mut v: Vec<(Cycle, SeqNum)> = h.iter().map(|&Reverse(t)| t).collect();
     v.sort_unstable();
     v
-}
-
-fn mesi_tag(m: Mesi) -> u8 {
-    match m {
-        Mesi::Invalid => 0,
-        Mesi::Shared => 1,
-        Mesi::Exclusive => 2,
-        Mesi::Modified => 3,
-    }
-}
-
-fn mesi_from(t: u8) -> Result<Mesi, String> {
-    match t {
-        0 => Ok(Mesi::Invalid),
-        1 => Ok(Mesi::Shared),
-        2 => Ok(Mesi::Exclusive),
-        3 => Ok(Mesi::Modified),
-        t => Err(format!("core: bad MESI tag {t}")),
-    }
-}
-
-fn decode_reg(d: &mut Dec<'_>) -> Result<Reg, String> {
-    Reg::new(d.u8()?).map_err(|e| e.to_string())
-}
-
-fn encode_opt_pred(e: &mut Enc, p: &Option<PredInfo>) {
-    match p {
-        None => e.bool(false),
-        Some(p) => {
-            e.bool(true);
-            e.bool(p.taken);
-            e.usize(p.target.0);
-            e.u64(p.checkpoint.ghr);
-            p.checkpoint.ras.encode_into(e);
-        }
-    }
-}
-
-fn encode_dyninst(e: &mut Enc, r: &DynInst) {
-    e.u64(r.seq.0);
-    e.usize(r.pc.0);
-    match r.stage {
-        Stage::Dispatched => e.u8(0),
-        Stage::Executing { done_at } => {
-            e.u8(1);
-            e.u64(done_at.raw());
-        }
-        Stage::Completed => e.u8(2),
-    }
-    e.opt_u64(r.result);
-    encode_opt_pred(e, &r.pred);
-    match r.prev_map {
-        None => e.bool(false),
-        Some((reg, old)) => {
-            e.bool(true);
-            e.u8(reg.index() as u8);
-            e.opt_u64(old.map(|s| s.0));
-        }
-    }
-    e.u8(r.srcs.len() as u8);
-    for &(reg, p) in r.srcs.iter() {
-        e.u8(reg.index() as u8);
-        e.opt_u64(p.map(|s| s.0));
-    }
-    e.u64(r.dispatched_at.raw());
-    e.bool(r.issue_done);
-    e.opt_u64(r.issue_blocked_on.map(|s| s.0));
-    e.opt_u64(r.first_waiter.map(|s| s.0));
-    e.opt_u64(r.next_waiter.map(|s| s.0));
-}
-
-fn encode_lq_entry(e: &mut Enc, l: &LqEntry) {
-    e.u64(l.seq.0);
-    e.u64(l.lq_id);
-    e.opt_u64(l.addr.map(|a| a.raw()));
-    e.opt_u64(l.performed_at.map(|c| c.raw()));
-    e.opt_u64(l.value);
-    e.bool(l.forwarded);
-    e.opt_u64(l.forwarded_from.map(|s| s.0));
-    e.u8(match l.pin {
-        PinState::Unpinned => 0,
-        PinState::Pending => 1,
-        PinState::Pinned => 2,
-    });
-    e.bool(l.waiting_fill);
-    e.bool(l.invisible);
-    e.bool(l.exposing);
-    e.u8(l.vp_bits);
-}
-
-/// Decodes an LQ entry. The trace-attribution fields (`vp_blocker`,
-/// `vp_clear_traced`) are reset rather than encoded: checkpoint spills
-/// are gated to runs with tracing and verification disabled, where both
-/// stay at their defaults.
-fn decode_lq_entry(d: &mut Dec<'_>) -> Result<LqEntry, String> {
-    let seq = SeqNum(d.u64()?);
-    let lq_id = d.u64()?;
-    let addr = d.opt_u64()?.map(Addr::new);
-    let performed_at = d.opt_u64()?.map(Cycle);
-    let value = d.opt_u64()?;
-    let forwarded = d.bool()?;
-    let forwarded_from = d.opt_u64()?.map(SeqNum);
-    let pin = match d.u8()? {
-        0 => PinState::Unpinned,
-        1 => PinState::Pending,
-        2 => PinState::Pinned,
-        t => return Err(format!("core: bad pin tag {t}")),
-    };
-    Ok(LqEntry {
-        seq,
-        lq_id,
-        addr,
-        performed_at,
-        value,
-        forwarded,
-        forwarded_from,
-        pin,
-        waiting_fill: d.bool()?,
-        invisible: d.bool()?,
-        exposing: d.bool()?,
-        vp_bits: d.u8()?,
-        vp_blocker: None,
-        vp_clear_traced: false,
-    })
 }
 
 #[cfg(test)]
@@ -4458,77 +3964,5 @@ mod tests {
         // is a stalled core, not a spinning one.
         let (live, _, delta, _, _) = verify_spin();
         assert!(Core::spin_verify(&live.clone(), &live, Cycle(0), delta.period).is_none());
-    }
-
-    #[test]
-    fn codec_round_trip_is_bit_exact_and_resumable() {
-        let mut b = ProgramBuilder::new();
-        let top = b.new_label();
-        let skip = b.new_label();
-        b.addi(r(1), Reg::ZERO, 64);
-        b.addi(r(2), Reg::ZERO, 0);
-        b.bind(top).unwrap();
-        b.alu(AluOp::And, r(3), r(1), 1i64);
-        b.branch(BranchCond::Eq, r(3), Reg::ZERO, skip);
-        b.addi(r(2), r(2), 1);
-        b.bind(skip).unwrap();
-        b.addi(r(1), r(1), -1);
-        b.branch(BranchCond::Ne, r(1), Reg::ZERO, top);
-        let program = Arc::new(b.build().unwrap());
-
-        let cfg = MachineConfig::default_single_core();
-        let mut core = Core::new(CoreId(0), &cfg, Arc::clone(&program));
-        let mut image = Memory::new();
-        // Stop mid-flight so the ROB, fetch buffer, and predictor all
-        // hold interesting state.
-        run_cycles(&mut core, &mut image, 0, 57);
-
-        let mut e = Enc::new();
-        core.encode_into(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut fresh = Core::new(CoreId(0), &cfg, program);
-        let mut d = Dec::new(&bytes);
-        fresh.decode_overlay(&mut d).expect("decode");
-        d.finish().expect("trailing bytes");
-
-        let mut e2 = Enc::new();
-        fresh.encode_into(&mut e2);
-        assert_eq!(bytes, e2.into_bytes(), "re-encoding must be bit-exact");
-        assert!(Core::spin_state_eq(&core, &fresh));
-        assert_eq!(core.retired(), fresh.retired());
-
-        // Both cores must continue identically to completion.
-        let mut image2 = Memory::new();
-        for c in 57..50_000 {
-            if core.halted() && fresh.halted() {
-                break;
-            }
-            core.tick(Cycle(c), &mut image);
-            fresh.tick(Cycle(c), &mut image2);
-        }
-        assert!(core.halted() && fresh.halted());
-        assert_eq!(core.reg(r(2)), 32);
-        assert_eq!(core.reg(r(2)), fresh.reg(r(2)));
-        assert_eq!(core.retired(), fresh.retired());
-        assert_eq!(
-            core.stats().counter_values(),
-            fresh.stats().counter_values()
-        );
-        assert_eq!(core.stats().hist_values(), fresh.stats().hist_values());
-    }
-
-    #[test]
-    fn codec_round_trip_of_a_fresh_core() {
-        let cfg = MachineConfig::default_single_core();
-        let core = Core::new(CoreId(0), &cfg, spin_program());
-        let mut e = Enc::new();
-        core.encode_into(&mut e);
-        let bytes = e.into_bytes();
-        let mut fresh = Core::new(CoreId(0), &cfg, spin_program());
-        let mut d = Dec::new(&bytes);
-        fresh.decode_overlay(&mut d).expect("decode");
-        d.finish().expect("trailing bytes");
-        assert!(Core::spin_state_eq(&core, &fresh));
     }
 }

@@ -226,24 +226,8 @@ impl RunResult {
     }
 }
 
-/// Outcome of [`Machine::run_until`]: either the workload finished (all
-/// cores quiesced) or the pause bound was reached with the machine in a
-/// resumable state.
-#[derive(Debug)]
-pub enum StepOutcome {
-    /// Every core halted and drained; the run is complete.
-    Done(RunResult),
-    /// The pause bound was reached. Call [`Machine::run_until`] (or
-    /// [`Machine::run`]) again to continue, or [`Machine::snapshot`] to
-    /// checkpoint. Statistics owed by parked cores have been flushed, so
-    /// the machine state is exactly what the naive loop would hold.
-    Paused,
-}
-
-/// Run-loop bookkeeping that must survive a pause for a resumed run to be
-/// bit-identical to an uninterrupted one: watchdog progress anchors and
-/// the machine-level CPT occupancy samples accumulated so far.
-#[derive(Debug, Clone)]
+/// Per-run bookkeeping local to one [`Machine::run`]: watchdog progress
+/// anchors and the machine-level CPT occupancy samples accumulated so far.
 struct RunState {
     last_retired: u64,
     last_progress: Cycle,
@@ -261,50 +245,6 @@ impl RunState {
             cpt_stats,
             cpt_occ,
         }
-    }
-}
-
-/// A resumable deep copy of a paused [`Machine`], produced by
-/// [`Machine::snapshot`] and consumed by [`Machine::restore`].
-///
-/// The checkpoint captures everything a resumed run's observable behavior
-/// depends on: configuration, every core (pipeline, LSQ, ROB, L1, MSHRs,
-/// write buffer, predictor, taint tracker, pin governor, tracer,
-/// statistics), every LLC/directory slice (cache, transaction tables,
-/// timers), the NoC (in-flight messages, fault state), the functional
-/// memory image, the current cycle, the watchdog threshold and progress
-/// anchors, and the machine-level CPT sample accumulator.
-///
-/// Two things are deliberately *not* captured, and both are documented
-/// exclusions rather than oversights: the invariant-check observer (a
-/// trait object owned by the caller — hand it across a restore with
-/// [`Machine::take_check_observer`] / [`Machine::set_check_observer`]),
-/// and the event-driven scheduler calendar (rebuilt conservatively on the
-/// next run, which the fast-forward bit-identity argument already covers:
-/// re-deriving park state only re-executes quiet ticks whose statistics
-/// deltas are identical to the replayed ones).
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    cfg: MachineConfig,
-    cores: Vec<Core>,
-    slices: Vec<LlcSlice>,
-    noc: Noc,
-    image: Memory,
-    now: Cycle,
-    watchdog_cycles: u64,
-    next_snapshot: u64,
-    run_state: Option<RunState>,
-}
-
-impl Checkpoint {
-    /// The cycle at which this checkpoint was taken.
-    pub fn cycle(&self) -> u64 {
-        self.now.raw()
-    }
-
-    /// The configuration of the machine that produced this checkpoint.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 }
 
@@ -422,8 +362,7 @@ pub struct Machine {
     slice_touched: Vec<bool>,
     /// Per-core spin detector plus its per-tick scratch: which cores
     /// executed a normal `Active` tick this cycle, and which sent or
-    /// received a NoC message. Not checkpointed — the detector re-arms
-    /// from scratch, which only costs re-verification time.
+    /// received a NoC message.
     spin_track: Vec<SpinTrack>,
     spin_ticked: Vec<bool>,
     spin_msg: Vec<bool>,
@@ -433,10 +372,6 @@ pub struct Machine {
     spin_parks: u64,
     spin_skipped_cycles: u64,
     spin_opens: u64,
-    /// Run-loop bookkeeping carried across a [`Machine::run_until`] pause
-    /// (and through [`Machine::snapshot`]); `None` when no run is
-    /// suspended.
-    run_state: Option<RunState>,
 }
 
 impl Machine {
@@ -504,70 +439,7 @@ impl Machine {
             spin_parks: 0,
             spin_skipped_cycles: 0,
             spin_opens: 0,
-            run_state: None,
         })
-    }
-
-    /// Deep-copies the machine into a resumable [`Checkpoint`].
-    ///
-    /// Safe to call whenever the machine is not inside a `run` call —
-    /// after construction, between [`Machine::tick`]s, or after
-    /// [`Machine::run_until`] returned [`StepOutcome::Paused`]. Any
-    /// statistics still owed by parked cores are flushed first, so the
-    /// captured state is exactly what the naive per-cycle loop would
-    /// hold at this cycle.
-    pub fn snapshot(&mut self) -> Checkpoint {
-        self.flush_parked();
-        Checkpoint {
-            cfg: self.cfg.clone(),
-            cores: self.cores.clone(),
-            slices: self.slices.clone(),
-            noc: self.noc.clone(),
-            image: self.image.clone(),
-            now: self.now,
-            watchdog_cycles: self.watchdog_cycles,
-            next_snapshot: self.next_snapshot,
-            run_state: self.run_state.clone(),
-        }
-    }
-
-    /// Builds a fresh machine from a checkpoint. Continuing the run with
-    /// [`Machine::run`] / [`Machine::run_until`] produces results
-    /// bit-identical to the machine the checkpoint was taken from — and
-    /// therefore to an uninterrupted run, which
-    /// `tests/ff_equivalence.rs` locks in across schemes, core counts,
-    /// and fast-forward settings.
-    ///
-    /// The invariant-check observer is not part of the checkpoint; if
-    /// one was attached, re-attach it with
-    /// [`Machine::set_check_observer`].
-    pub fn restore(cp: &Checkpoint) -> Machine {
-        let cfg = cp.cfg.clone();
-        Machine {
-            cores: cp.cores.clone(),
-            slices: cp.slices.clone(),
-            noc: cp.noc.clone(),
-            image: cp.image.clone(),
-            now: cp.now,
-            watchdog_cycles: cp.watchdog_cycles,
-            deliver_buf: Vec::new(),
-            slice_bound: Vec::new(),
-            outbox_buf: Vec::new(),
-            check_observer: ObserverSlot(None),
-            check_buf: Vec::new(),
-            next_snapshot: cp.next_snapshot,
-            sched: (0..cfg.num_cores).map(|_| CoreSched::default()).collect(),
-            slice_next: vec![None; cfg.mem.llc_slices],
-            slice_touched: vec![false; cfg.mem.llc_slices],
-            spin_track: (0..cfg.num_cores).map(|_| SpinTrack::default()).collect(),
-            spin_ticked: vec![false; cfg.num_cores],
-            spin_msg: vec![false; cfg.num_cores],
-            spin_parks: 0,
-            spin_skipped_cycles: 0,
-            spin_opens: 0,
-            run_state: cp.run_state.clone(),
-            cfg,
-        }
     }
 
     /// Attaches the invariant-check observer that receives the event
@@ -778,55 +650,16 @@ impl Machine {
     /// extended period, or [`RunError::CycleLimit`] if the budget runs
     /// out.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, RunError> {
-        match self.run_until(max_cycles, u64::MAX)? {
-            StepOutcome::Done(result) => Ok(result),
-            StepOutcome::Paused => unreachable!("pause bound u64::MAX never reached"),
-        }
-    }
-
-    /// Runs like [`Machine::run`] but additionally pauses — returning
-    /// [`StepOutcome::Paused`] with the machine resumable in place — once
-    /// `self.now` reaches `pause_at`. The bound is a *lower* bound: the
-    /// fast-forward time jump may overshoot it (pausing at the first loop
-    /// iteration past the jump), which is harmless because resumption is
-    /// bit-identical wherever it lands.
-    ///
-    /// Watchdog anchors and accumulated machine-level samples persist in
-    /// the machine across pauses (and travel with
-    /// [`Machine::snapshot`]), so a run chopped into arbitrary
-    /// `run_until` segments retires the same instructions in the same
-    /// cycles with the same statistics as one uninterrupted `run`. They
-    /// are cleared when a run completes or fails, so a subsequent run
-    /// starts fresh.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::run`].
-    pub fn run_until(&mut self, max_cycles: u64, pause_at: u64) -> Result<StepOutcome, RunError> {
-        let outcome = if self.cfg.fast_forward {
-            self.run_scheduled(max_cycles, pause_at)
+        if self.cfg.fast_forward {
+            self.run_scheduled(max_cycles)
         } else {
-            self.run_naive(max_cycles, pause_at)
-        };
-        if !matches!(outcome, Ok(StepOutcome::Paused)) {
-            self.run_state = None;
+            self.run_naive(max_cycles)
         }
-        outcome
-    }
-
-    /// Takes the suspended run state, or starts a fresh one anchored at
-    /// the current cycle.
-    fn take_run_state(&mut self) -> RunState {
-        let retired = self.total_retired();
-        let now = self.now;
-        self.run_state
-            .take()
-            .unwrap_or_else(|| RunState::new(retired, now))
     }
 
     /// The reference run loop: every component ticks every cycle.
-    fn run_naive(&mut self, max_cycles: u64, pause_at: u64) -> Result<StepOutcome, RunError> {
-        let mut rs = self.take_run_state();
+    fn run_naive(&mut self, max_cycles: u64) -> Result<RunResult, RunError> {
+        let mut rs = RunState::new(self.total_retired(), self.now);
         while !self.all_quiesced() {
             if self.now.raw() >= max_cycles {
                 return Err(RunError::CycleLimit {
@@ -834,33 +667,20 @@ impl Machine {
                     retired: self.total_retired(),
                 });
             }
-            if self.now.raw() >= pause_at {
-                self.run_state = Some(rs);
-                return Ok(StepOutcome::Paused);
-            }
             self.tick();
-            self.post_tick(
-                &mut rs.last_retired,
-                &mut rs.last_progress,
-                &mut rs.cpt_stats,
-                rs.cpt_occ,
-            )?;
+            self.post_tick(&mut rs)?;
         }
-        Ok(StepOutcome::Done(self.finish_run(rs.cpt_stats, rs.cpt_occ)))
+        Ok(self.finish_run(rs))
     }
 
     /// The event-driven run loop: per-core parking with lazy statistics
     /// replay, a slice timer calendar, and a whole-machine time jump when
     /// every core is parked. See [`Machine::tick_scheduled`] for the
-    /// bit-identity argument; pausing preserves it because flushing a
-    /// parked core's owed statistics is equivalent to replaying them, and
-    /// the re-armed calendar merely re-executes quiet ticks whose deltas
-    /// are identical.
-    fn run_scheduled(&mut self, max_cycles: u64, pause_at: u64) -> Result<StepOutcome, RunError> {
-        let mut rs = self.take_run_state();
-        // (Re-)arm the calendar: all cores active, slice timers polled
-        // fresh, so a run after external `tick()` calls (or a pause or
-        // restore) stays correct.
+    /// bit-identity argument.
+    fn run_scheduled(&mut self, max_cycles: u64) -> Result<RunResult, RunError> {
+        let mut rs = RunState::new(self.total_retired(), self.now);
+        // Arm the calendar: all cores active, slice timers polled fresh,
+        // so a run after external `tick()` calls stays correct.
         for sched in &mut self.sched {
             sched.state = ParkState::Active;
             sched.wake = None;
@@ -880,11 +700,6 @@ impl Machine {
                     retired: self.total_retired(),
                 });
             }
-            if self.now.raw() >= pause_at {
-                self.flush_parked();
-                self.run_state = Some(rs);
-                return Ok(StepOutcome::Paused);
-            }
             let active = self.tick_scheduled();
             let spinning = self.sched.iter().any(|s| s.state == ParkState::Spinning);
             if spinning {
@@ -896,39 +711,28 @@ impl Machine {
                 // while any core is still retiring.
                 rs.last_progress = self.now;
             }
-            self.post_tick(
-                &mut rs.last_retired,
-                &mut rs.last_progress,
-                &mut rs.cpt_stats,
-                rs.cpt_occ,
-            )?;
+            self.post_tick(&mut rs)?;
             if !active
                 && self
                     .sched
                     .iter()
                     .all(|s| matches!(s.state, ParkState::Parked | ParkState::Spinning))
             {
-                self.jump_ahead(
-                    max_cycles,
-                    &rs.last_retired,
-                    &rs.last_progress,
-                    &mut rs.cpt_stats,
-                    rs.cpt_occ,
-                    spinning,
-                )?;
+                self.jump_ahead(max_cycles, &mut rs, spinning)?;
             }
         }
         self.flush_parked();
-        Ok(StepOutcome::Done(self.finish_run(rs.cpt_stats, rs.cpt_occ)))
+        Ok(self.finish_run(rs))
     }
 
     /// Shared run-loop epilogue: the final CPT occupancy sample, the
     /// observer's end-of-run snapshot, and result assembly.
-    fn finish_run(&mut self, mut cpt_stats: Stats, cpt_occ: HistId) -> RunResult {
+    fn finish_run(&mut self, mut rs: RunState) -> RunResult {
         // A run shorter than the sample period would otherwise report an
         // empty occupancy histogram; always record the final state.
         for core in &self.cores {
-            cpt_stats.sample_id(cpt_occ, core.governor().cpt().occupancy() as u64);
+            rs.cpt_stats
+                .sample_id(rs.cpt_occ, core.governor().cpt().occupancy() as u64);
         }
         // Hand the observer the quiesced end state: a final snapshot (so
         // end-of-run invariants see the drained machine even off the
@@ -941,28 +745,23 @@ impl Machine {
             obs.on_run_end(self.now);
         }
         self.check_observer = ObserverSlot(observer);
-        self.result_with(cpt_stats)
+        self.result_with(rs.cpt_stats)
     }
 
     /// Per-tick run-loop bookkeeping: progress/watchdog tracking and the
     /// periodic CPT occupancy sample.
-    fn post_tick(
-        &self,
-        last_retired: &mut u64,
-        last_progress: &mut Cycle,
-        cpt_stats: &mut Stats,
-        cpt_occ: HistId,
-    ) -> Result<(), RunError> {
+    fn post_tick(&self, rs: &mut RunState) -> Result<(), RunError> {
         let retired = self.total_retired();
-        if retired != *last_retired {
-            *last_retired = retired;
-            *last_progress = self.now;
-        } else if self.now.since(*last_progress) > self.watchdog_cycles {
+        if retired != rs.last_retired {
+            rs.last_retired = retired;
+            rs.last_progress = self.now;
+        } else if self.now.since(rs.last_progress) > self.watchdog_cycles {
             return Err(self.deadlock_error(retired));
         }
         if self.now.raw().is_multiple_of(CPT_SAMPLE_PERIOD) {
             for core in &self.cores {
-                cpt_stats.sample_id(cpt_occ, core.governor().cpt().occupancy() as u64);
+                rs.cpt_stats
+                    .sample_id(rs.cpt_occ, core.governor().cpt().occupancy() as u64);
             }
         }
         Ok(())
@@ -1406,10 +1205,7 @@ impl Machine {
     fn jump_ahead(
         &mut self,
         max_cycles: u64,
-        last_retired: &u64,
-        last_progress: &Cycle,
-        cpt_stats: &mut Stats,
-        cpt_occ: HistId,
+        rs: &mut RunState,
         spinning: bool,
     ) -> Result<(), RunError> {
         let now = self.now.raw();
@@ -1418,7 +1214,7 @@ impl Machine {
         let mut target = if spinning {
             max_cycles
         } else {
-            (last_progress.raw() + self.watchdog_cycles + 1).min(max_cycles)
+            (rs.last_progress.raw() + self.watchdog_cycles + 1).min(max_cycles)
         };
         if let Some(c) = self.noc.next_delivery() {
             target = target.min(c.raw());
@@ -1439,8 +1235,8 @@ impl Machine {
         let cpt_samples = multiples_in(CPT_SAMPLE_PERIOD, now + 1, target + 1);
         if cpt_samples > 0 {
             for core in &self.cores {
-                cpt_stats.sample_n_id(
-                    cpt_occ,
+                rs.cpt_stats.sample_n_id(
+                    rs.cpt_occ,
                     core.governor().cpt().occupancy() as u64,
                     cpt_samples,
                 );
@@ -1450,8 +1246,8 @@ impl Machine {
         // The watchdog check post_tick would have made on each skipped
         // cycle (retirements are frozen, so only the threshold matters;
         // a spinning core keeps retiring, so the naive loop never fires).
-        if !spinning && self.now.since(*last_progress) > self.watchdog_cycles {
-            return Err(self.deadlock_error(*last_retired));
+        if !spinning && self.now.since(rs.last_progress) > self.watchdog_cycles {
+            return Err(self.deadlock_error(rs.last_retired));
         }
         Ok(())
     }
@@ -1510,86 +1306,6 @@ impl Machine {
     /// rate, and a high open count with few parks means clone churn.
     pub fn spin_opens(&self) -> u64 {
         self.spin_opens
-    }
-
-    /// Serializes the complete machine state — every core, slice, the
-    /// NoC, the memory image, the clock, and the run-loop bookkeeping —
-    /// into a canonical byte stream for an on-disk checkpoint spill.
-    /// Parked and spinning cores are flushed first, so the encoding is
-    /// exactly the state the naive loop would hold at this cycle.
-    ///
-    /// The stream carries state only, not configuration: decode it with
-    /// [`Machine::decode_state_into`] on a machine built from the same
-    /// configuration with the same programs loaded (the caller's
-    /// contract — `plsim serve` enforces it by keying spilled files on
-    /// the job digest).
-    pub fn encode_state(&mut self) -> Vec<u8> {
-        self.flush_parked();
-        let mut e = pl_base::Enc::new();
-        e.u64(self.now.raw());
-        e.u64(self.watchdog_cycles);
-        e.u64(self.next_snapshot);
-        for core in &self.cores {
-            core.encode_into(&mut e);
-        }
-        for slice in &self.slices {
-            slice.encode_into(&mut e);
-        }
-        self.noc.encode_into(&mut e);
-        self.image.encode_into(&mut e);
-        match &self.run_state {
-            None => e.bool(false),
-            Some(rs) => {
-                e.bool(true);
-                e.u64(rs.last_retired);
-                e.u64(rs.last_progress.raw());
-                rs.cpt_stats.encode_into(&mut e);
-            }
-        }
-        e.into_bytes()
-    }
-
-    /// Overlays state encoded by [`Machine::encode_state`] onto this
-    /// machine, which must have been built from the same configuration
-    /// with the same programs loaded. The event calendar and spin
-    /// detector re-arm on the next run, exactly as after
-    /// [`Machine::restore`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or inconsistent
-    /// field; the machine may be partially overwritten and must be
-    /// discarded.
-    pub fn decode_state_into(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut d = pl_base::Dec::new(bytes);
-        self.now = Cycle(d.u64()?);
-        self.watchdog_cycles = d.u64()?;
-        self.next_snapshot = d.u64()?;
-        for core in &mut self.cores {
-            core.decode_overlay(&mut d)?;
-        }
-        for slice in &mut self.slices {
-            slice.decode_overlay(&mut d)?;
-        }
-        self.noc.decode_overlay(&mut d)?;
-        self.image.decode_overlay(&mut d)?;
-        self.run_state = if d.bool()? {
-            let last_retired = d.u64()?;
-            let last_progress = Cycle(d.u64()?);
-            let mut rs = RunState::new(last_retired, last_progress);
-            rs.cpt_stats.decode_overlay(&mut d)?;
-            Some(rs)
-        } else {
-            None
-        };
-        d.finish()?;
-        for sched in &mut self.sched {
-            *sched = CoreSched::default();
-        }
-        for track in &mut self.spin_track {
-            *track = SpinTrack::default();
-        }
-        Ok(())
     }
 
     /// Total lines currently pinned across all cores; zero after a
@@ -1974,86 +1690,6 @@ mod tests {
         )
     }
 
-    fn run_chopped(cfg: &MachineConfig, chunk: u64) -> (Machine, RunResult) {
-        let mut m = Machine::new(cfg).unwrap();
-        m.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        let mut pause = chunk;
-        loop {
-            match m.run_until(5_000_000, pause).unwrap() {
-                StepOutcome::Done(res) => return (m, res),
-                StepOutcome::Paused => pause = m.now.raw() + chunk,
-            }
-        }
-    }
-
-    #[test]
-    fn paused_run_is_bit_identical_to_uninterrupted() {
-        for ff in [true, false] {
-            let mut cfg = defended_cfg(DefenseScheme::Fence, PinMode::Early);
-            cfg.fast_forward = ff;
-            let (m_ref, ref_res) = single(&cfg, chained_loads_program());
-            for chunk in [1, 97, 10_000] {
-                let (m, res) = run_chopped(&cfg, chunk);
-                assert_eq!(
-                    fingerprint(&m, &res),
-                    fingerprint(&m_ref, &ref_res),
-                    "chunk={chunk} ff={ff} diverged from uninterrupted run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_identical() {
-        for ff in [true, false] {
-            let mut cfg = defended_cfg(DefenseScheme::Dom, PinMode::Late);
-            cfg.fast_forward = ff;
-            let (m_ref, ref_res) = single(&cfg, chained_loads_program());
-            // Pause mid-run, checkpoint, resume in a *fresh* machine.
-            let mut m = Machine::new(&cfg).unwrap();
-            m.load_program(CoreId(0), chained_loads_program().build().unwrap());
-            let outcome = m.run_until(5_000_000, ref_res.cycles / 2).unwrap();
-            assert!(matches!(outcome, StepOutcome::Paused));
-            let cp = m.snapshot();
-            assert!(cp.cycle() >= ref_res.cycles / 2);
-            drop(m);
-            let mut resumed = Machine::restore(&cp);
-            let res = resumed.run(5_000_000).unwrap();
-            assert_eq!(
-                fingerprint(&resumed, &res),
-                fingerprint(&m_ref, &ref_res),
-                "ff={ff}: restored run diverged from uninterrupted run"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_survives_repeated_kills() {
-        // Take a checkpoint every pause, "kill" the machine, and restore
-        // from the latest checkpoint — the end result must still match.
-        let cfg = defended_cfg(DefenseScheme::Stt, PinMode::Early);
-        let (m_ref, ref_res) = single(&cfg, chained_loads_program());
-        let mut m = Machine::new(&cfg).unwrap();
-        m.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        let chunk = (ref_res.cycles / 5).max(1);
-        let mut pause = chunk;
-        let final_res = loop {
-            match m.run_until(5_000_000, pause).unwrap() {
-                StepOutcome::Done(res) => break res,
-                StepOutcome::Paused => {
-                    let cp = m.snapshot();
-                    m = Machine::restore(&cp); // the old machine "dies"
-                    pause = m.now.raw() + chunk;
-                }
-            }
-        };
-        assert_eq!(
-            fingerprint(&m, &final_res),
-            fingerprint(&m_ref, &ref_res),
-            "kill/restore every chunk diverged from uninterrupted run"
-        );
-    }
-
     #[test]
     fn cycle_limit_error_reports() {
         let cfg = MachineConfig::default_single_core();
@@ -2166,72 +1802,5 @@ mod tests {
             fingerprint(&m_off, &res_off),
             "timed spin wakes changed observable results"
         );
-    }
-
-    #[test]
-    fn spin_parking_survives_pause_and_snapshot() {
-        let (p0, p1) = spin_rendezvous_programs(20_000);
-        let cfg = MachineConfig::default_multi_core(2);
-        let (m_ref, ref_res) = run_rendezvous(&cfg, &p0, &p1);
-        // Chop the run into pauses, checkpointing and restoring at each
-        // one — every pause flushes mid-spin parks, every resume re-arms
-        // the detector from scratch.
-        let mut m = Machine::new(&cfg).unwrap();
-        m.load_program(CoreId(0), p0.clone());
-        m.load_program(CoreId(1), p1.clone());
-        let chunk = (ref_res.cycles / 7).max(1);
-        let mut pause = chunk;
-        let res = loop {
-            match m.run_until(5_000_000, pause).unwrap() {
-                StepOutcome::Done(res) => break res,
-                StepOutcome::Paused => {
-                    let cp = m.snapshot();
-                    m = Machine::restore(&cp);
-                    pause = m.now.raw() + chunk;
-                }
-            }
-        };
-        assert_eq!(
-            fingerprint(&m, &res),
-            fingerprint(&m_ref, &ref_res),
-            "pause/snapshot through spin parks diverged"
-        );
-    }
-
-    #[test]
-    fn machine_state_codec_round_trips_and_resumes() {
-        let cfg = defended_cfg(DefenseScheme::Stt, PinMode::Early);
-        let (m_ref, ref_res) = single(&cfg, chained_loads_program());
-        let mut m = Machine::new(&cfg).unwrap();
-        m.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        let outcome = m.run_until(5_000_000, ref_res.cycles / 2).unwrap();
-        assert!(matches!(outcome, StepOutcome::Paused));
-        let bytes = m.encode_state();
-        // Overlay onto a fresh machine with the same config and program.
-        let mut fresh = Machine::new(&cfg).unwrap();
-        fresh.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        fresh.decode_state_into(&bytes).unwrap();
-        assert_eq!(
-            fresh.encode_state(),
-            bytes,
-            "re-encode must be byte-identical"
-        );
-        let res = fresh.run(5_000_000).unwrap();
-        assert_eq!(
-            fingerprint(&fresh, &res),
-            fingerprint(&m_ref, &ref_res),
-            "decoded machine diverged from uninterrupted run"
-        );
-    }
-
-    #[test]
-    fn machine_state_codec_rejects_truncation() {
-        let cfg = MachineConfig::default_single_core();
-        let mut m = Machine::new(&cfg).unwrap();
-        m.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        let bytes = m.encode_state();
-        let mut fresh = Machine::new(&cfg).unwrap();
-        fresh.load_program(CoreId(0), chained_loads_program().build().unwrap());
-        assert!(fresh.decode_state_into(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -412,64 +412,6 @@ impl<T> Cache<T> {
                     })
             })
     }
-
-    /// Encodes the full cache contents for a checkpoint spill.
-    /// Per-line metadata is encoded by `enc_meta` so each owner picks
-    /// its own representation.
-    pub fn encode_into(
-        &self,
-        e: &mut pl_base::Enc,
-        enc_meta: &mut dyn FnMut(&mut pl_base::Enc, &T),
-    ) {
-        e.u64(self.tick);
-        e.usize(self.sets.len());
-        for set in &self.sets {
-            e.usize(set.len());
-            for w in set {
-                e.bool(w.valid);
-                e.u64(w.line.raw());
-                e.u64(w.lru);
-                enc_meta(e, &w.meta);
-            }
-        }
-    }
-
-    /// Overlays contents encoded by [`Cache::encode_into`] onto a
-    /// same-geometry cache.
-    pub fn decode_overlay(
-        &mut self,
-        d: &mut pl_base::Dec<'_>,
-        dec_meta: &mut dyn FnMut(&mut pl_base::Dec<'_>) -> Result<T, String>,
-    ) -> Result<(), String> {
-        self.tick = d.u64()?;
-        let n = d.usize()?;
-        if n != self.sets.len() {
-            return Err(format!("cache: {n} encoded sets, have {}", self.sets.len()));
-        }
-        let ways = self.ways;
-        for set in &mut self.sets {
-            let m = d.usize()?;
-            if m > ways {
-                return Err(format!(
-                    "cache: {m} encoded ways exceed associativity {ways}"
-                ));
-            }
-            set.clear();
-            for _ in 0..m {
-                let valid = d.bool()?;
-                let line = LineAddr::from_line_number(d.u64()?);
-                let lru = d.u64()?;
-                let meta = dec_meta(d)?;
-                set.push(Way {
-                    line,
-                    meta,
-                    lru,
-                    valid,
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

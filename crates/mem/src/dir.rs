@@ -922,219 +922,6 @@ impl LlcSlice {
     }
 }
 
-fn encode_dir_state(e: &mut pl_base::Enc, s: DirState) {
-    match s {
-        DirState::Uncached => e.u8(0),
-        DirState::Shared(set) => {
-            e.u8(1);
-            let mut bits = 0u64;
-            for c in set.iter() {
-                bits |= 1u64 << c.index();
-            }
-            e.u64(bits);
-        }
-        DirState::Owned(o) => {
-            e.u8(2);
-            e.usize(o.index());
-        }
-    }
-}
-
-fn decode_dir_state(d: &mut pl_base::Dec<'_>) -> Result<DirState, String> {
-    Ok(match d.u8()? {
-        0 => DirState::Uncached,
-        1 => {
-            let bits = d.u64()?;
-            let mut set = SharerSet::new();
-            for i in 0..64 {
-                if bits & (1u64 << i) != 0 {
-                    set.insert(CoreId(i));
-                }
-            }
-            DirState::Shared(set)
-        }
-        2 => DirState::Owned(CoreId(d.usize()?)),
-        t => return Err(format!("dir state: bad tag {t}")),
-    })
-}
-
-impl LlcSlice {
-    /// Encodes the slice's dynamic state (data array, transaction tables,
-    /// timers, outbox, stats) for a checkpoint spill. Geometry, tracers,
-    /// and verify-mode machinery are config-derived or gated off when
-    /// spilling and are skipped.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        self.cache.encode_into(e, &mut |e, meta: &LlcLine| {
-            encode_dir_state(e, meta.state);
-            e.bool(meta.dirty);
-        });
-        e.usize(self.busy.len());
-        for (line, txn) in self.busy.iter() {
-            e.u64(line.raw());
-            match *txn {
-                Txn::Write {
-                    writer,
-                    star,
-                    others,
-                } => {
-                    e.u8(0);
-                    e.usize(writer.index());
-                    e.bool(star);
-                    let mut bits = 0u64;
-                    for c in others.iter() {
-                        bits |= 1u64 << c.index();
-                    }
-                    e.u64(bits);
-                }
-                Txn::FwdS { owner, requester } => {
-                    e.u8(1);
-                    e.usize(owner.index());
-                    e.usize(requester.index());
-                }
-                Txn::FwdX {
-                    owner,
-                    writer,
-                    star,
-                } => {
-                    e.u8(2);
-                    e.usize(owner.index());
-                    e.usize(writer.index());
-                    e.bool(star);
-                }
-                Txn::Fetch => e.u8(3),
-                Txn::Evict {
-                    acks_left,
-                    for_fill,
-                } => {
-                    e.u8(4);
-                    e.usize(acks_left);
-                    e.u64(for_fill.raw());
-                }
-            }
-        }
-        e.usize(self.waiting_fills.len());
-        for (line, req) in self.waiting_fills.iter() {
-            e.u64(line.raw());
-            e.usize(req.requester.index());
-            e.bool(req.write);
-        }
-        let mut timers: Vec<(Cycle, u64, Timer)> =
-            self.timers.iter().map(|&Reverse(t)| t).collect();
-        timers.sort_unstable();
-        e.usize(timers.len());
-        for (at, seq, timer) in timers {
-            e.u64(at.raw());
-            e.u64(seq);
-            match timer {
-                Timer::DramDone(line) => {
-                    e.u8(0);
-                    e.u64(line.raw());
-                }
-                Timer::RetryFill(line) => {
-                    e.u8(1);
-                    e.u64(line.raw());
-                }
-            }
-        }
-        e.u64(self.timer_seq);
-        e.usize(self.outbox.len());
-        for (dst, msg) in &self.outbox {
-            dst.encode_into(e);
-            msg.encode_into(e);
-        }
-        self.stats.encode_into(e);
-    }
-
-    /// Overlays state encoded by [`LlcSlice::encode_into`] onto a slice
-    /// freshly built from the same config.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        self.cache.decode_overlay(d, &mut |d| {
-            let state = decode_dir_state(d)?;
-            let dirty = d.bool()?;
-            Ok(LlcLine { state, dirty })
-        })?;
-        let n_busy = d.usize()?;
-        let mut busy = LineTable::with_capacity(TXN_TABLE_CAPACITY.max(n_busy));
-        for _ in 0..n_busy {
-            let line = LineAddr::from_line_number(d.u64()?);
-            let txn = match d.u8()? {
-                0 => {
-                    let writer = CoreId(d.usize()?);
-                    let star = d.bool()?;
-                    let bits = d.u64()?;
-                    let mut others = SharerSet::new();
-                    for i in 0..64 {
-                        if bits & (1u64 << i) != 0 {
-                            others.insert(CoreId(i));
-                        }
-                    }
-                    Txn::Write {
-                        writer,
-                        star,
-                        others,
-                    }
-                }
-                1 => Txn::FwdS {
-                    owner: CoreId(d.usize()?),
-                    requester: CoreId(d.usize()?),
-                },
-                2 => Txn::FwdX {
-                    owner: CoreId(d.usize()?),
-                    writer: CoreId(d.usize()?),
-                    star: d.bool()?,
-                },
-                3 => Txn::Fetch,
-                4 => Txn::Evict {
-                    acks_left: d.usize()?,
-                    for_fill: LineAddr::from_line_number(d.u64()?),
-                },
-                t => return Err(format!("slice txn: bad tag {t}")),
-            };
-            if busy.insert(line, txn).is_some() {
-                return Err(format!("slice: duplicate busy line {line:?}"));
-            }
-        }
-        self.busy = busy;
-        let n_fills = d.usize()?;
-        let mut fills = LineTable::with_capacity(TXN_TABLE_CAPACITY.max(n_fills));
-        for _ in 0..n_fills {
-            let line = LineAddr::from_line_number(d.u64()?);
-            let req = FillReq {
-                requester: CoreId(d.usize()?),
-                write: d.bool()?,
-            };
-            if fills.insert(line, req).is_some() {
-                return Err(format!("slice: duplicate waiting fill {line:?}"));
-            }
-        }
-        self.waiting_fills = fills;
-        let n_timers = d.usize()?;
-        let mut timers = BinaryHeap::with_capacity(n_timers);
-        for _ in 0..n_timers {
-            let at = Cycle(d.u64()?);
-            let seq = d.u64()?;
-            let timer = match d.u8()? {
-                0 => Timer::DramDone(LineAddr::from_line_number(d.u64()?)),
-                1 => Timer::RetryFill(LineAddr::from_line_number(d.u64()?)),
-                t => return Err(format!("slice timer: bad tag {t}")),
-            };
-            timers.push(Reverse((at, seq, timer)));
-        }
-        self.timers = timers;
-        self.timer_seq = d.u64()?;
-        let n_out = d.usize()?;
-        let mut outbox = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            let dst = NodeId::decode(d)?;
-            let msg = Msg::decode(d)?;
-            outbox.push((dst, msg));
-        }
-        self.outbox = outbox;
-        self.stats.decode_overlay(d)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,34 +76,6 @@ impl Memory {
         out.sort_unstable();
         out
     }
-
-    /// Encodes the nonzero words (sorted, for determinism) for a
-    /// checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        let words = self.words_sorted();
-        e.usize(words.len());
-        for (k, v) in words {
-            e.u64(k);
-            e.u64(v);
-        }
-    }
-
-    /// Replaces the memory image with one encoded by
-    /// [`Memory::encode_into`].
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        let mut words = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = d.u64()?;
-            let v = d.u64()?;
-            if v == 0 {
-                return Err(format!("memory: explicit zero word at index {k}"));
-            }
-            words.insert(k, v);
-        }
-        self.words = words;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -292,260 +292,6 @@ impl Msg {
     }
 }
 
-impl NodeId {
-    /// Encodes the endpoint as a tag byte plus index.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        match *self {
-            NodeId::Core(c) => {
-                e.u8(0);
-                e.usize(c.0);
-            }
-            NodeId::Slice(s) => {
-                e.u8(1);
-                e.usize(s);
-            }
-        }
-    }
-
-    /// Decodes an endpoint encoded by [`NodeId::encode_into`].
-    pub fn decode(d: &mut pl_base::Dec<'_>) -> Result<NodeId, String> {
-        match d.u8()? {
-            0 => Ok(NodeId::Core(CoreId(d.usize()?))),
-            1 => Ok(NodeId::Slice(d.usize()?)),
-            t => Err(format!("node id: bad tag {t}")),
-        }
-    }
-}
-
-impl DataGrant {
-    fn tag(self) -> u8 {
-        match self {
-            DataGrant::Shared => 0,
-            DataGrant::Exclusive => 1,
-            DataGrant::Modified => 2,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<DataGrant, String> {
-        match t {
-            0 => Ok(DataGrant::Shared),
-            1 => Ok(DataGrant::Exclusive),
-            2 => Ok(DataGrant::Modified),
-            t => Err(format!("data grant: bad tag {t}")),
-        }
-    }
-}
-
-impl Msg {
-    /// Encodes the message as a tag byte plus fields, for checkpoint
-    /// spills of in-flight network state.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        let line = self.line();
-        match *self {
-            Msg::GetS { requester, .. } => {
-                e.u8(0);
-                e.u64(line.raw());
-                e.usize(requester.0);
-            }
-            Msg::GetX {
-                requester, star, ..
-            } => {
-                e.u8(1);
-                e.u64(line.raw());
-                e.usize(requester.0);
-                e.bool(star);
-            }
-            Msg::PutS { from, .. } => {
-                e.u8(2);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::PutM { from, .. } => {
-                e.u8(3);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::Unblock { from, .. } => {
-                e.u8(4);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::Abort { from, .. } => {
-                e.u8(5);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::Data {
-                grant,
-                acks_expected,
-                ..
-            } => {
-                e.u8(6);
-                e.u64(line.raw());
-                e.u8(grant.tag());
-                e.usize(acks_expected);
-            }
-            Msg::Inv {
-                requester, star, ..
-            } => {
-                e.u8(7);
-                e.u64(line.raw());
-                e.usize(requester.0);
-                e.bool(star);
-            }
-            Msg::FwdGetS { requester, .. } => {
-                e.u8(8);
-                e.u64(line.raw());
-                e.usize(requester.0);
-            }
-            Msg::FwdGetX {
-                requester, star, ..
-            } => {
-                e.u8(9);
-                e.u64(line.raw());
-                e.usize(requester.0);
-                e.bool(star);
-            }
-            Msg::BackInv { slice, .. } => {
-                e.u8(10);
-                e.u64(line.raw());
-                e.usize(slice);
-            }
-            Msg::Clear { .. } => {
-                e.u8(11);
-                e.u64(line.raw());
-            }
-            Msg::Nack { was_write, .. } => {
-                e.u8(12);
-                e.u64(line.raw());
-                e.bool(was_write);
-            }
-            Msg::InvAck { from, .. } => {
-                e.u8(13);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::InvDefer { from, .. } => {
-                e.u8(14);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-            Msg::OwnerData { grant, from, .. } => {
-                e.u8(15);
-                e.u64(line.raw());
-                e.u8(grant.tag());
-                e.usize(from.0);
-            }
-            Msg::CopyBack { from, dirty, .. } => {
-                e.u8(16);
-                e.u64(line.raw());
-                e.usize(from.0);
-                e.bool(dirty);
-            }
-            Msg::BackInvAck { from, dirty, .. } => {
-                e.u8(17);
-                e.u64(line.raw());
-                e.usize(from.0);
-                e.bool(dirty);
-            }
-            Msg::BackInvDefer { from, .. } => {
-                e.u8(18);
-                e.u64(line.raw());
-                e.usize(from.0);
-            }
-        }
-    }
-
-    /// Decodes a message encoded by [`Msg::encode_into`].
-    pub fn decode(d: &mut pl_base::Dec<'_>) -> Result<Msg, String> {
-        let tag = d.u8()?;
-        let line = LineAddr::from_line_number(d.u64()?);
-        Ok(match tag {
-            0 => Msg::GetS {
-                line,
-                requester: CoreId(d.usize()?),
-            },
-            1 => Msg::GetX {
-                line,
-                requester: CoreId(d.usize()?),
-                star: d.bool()?,
-            },
-            2 => Msg::PutS {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            3 => Msg::PutM {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            4 => Msg::Unblock {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            5 => Msg::Abort {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            6 => Msg::Data {
-                line,
-                grant: DataGrant::from_tag(d.u8()?)?,
-                acks_expected: d.usize()?,
-            },
-            7 => Msg::Inv {
-                line,
-                requester: CoreId(d.usize()?),
-                star: d.bool()?,
-            },
-            8 => Msg::FwdGetS {
-                line,
-                requester: CoreId(d.usize()?),
-            },
-            9 => Msg::FwdGetX {
-                line,
-                requester: CoreId(d.usize()?),
-                star: d.bool()?,
-            },
-            10 => Msg::BackInv {
-                line,
-                slice: d.usize()?,
-            },
-            11 => Msg::Clear { line },
-            12 => Msg::Nack {
-                line,
-                was_write: d.bool()?,
-            },
-            13 => Msg::InvAck {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            14 => Msg::InvDefer {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            15 => Msg::OwnerData {
-                line,
-                grant: DataGrant::from_tag(d.u8()?)?,
-                from: CoreId(d.usize()?),
-            },
-            16 => Msg::CopyBack {
-                line,
-                from: CoreId(d.usize()?),
-                dirty: d.bool()?,
-            },
-            17 => Msg::BackInvAck {
-                line,
-                from: CoreId(d.usize()?),
-                dirty: d.bool()?,
-            },
-            18 => Msg::BackInvDefer {
-                line,
-                from: CoreId(d.usize()?),
-            },
-            t => return Err(format!("msg: bad tag {t}")),
-        })
-    }
-}
-
 impl fmt::Display for Msg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -692,86 +438,6 @@ mod tests {
             assert!(!m.to_string().is_empty());
             // Every Display form leads with the kind name.
             assert!(m.to_string().starts_with(m.kind().trim_end_matches('*')));
-        }
-    }
-
-    #[test]
-    fn codec_round_trips_every_variant() {
-        let l = Addr::new(0x80).line();
-        let c = CoreId(3);
-        let msgs = [
-            Msg::GetS {
-                line: l,
-                requester: c,
-            },
-            Msg::GetX {
-                line: l,
-                requester: c,
-                star: true,
-            },
-            Msg::PutS { line: l, from: c },
-            Msg::PutM { line: l, from: c },
-            Msg::Unblock { line: l, from: c },
-            Msg::Abort { line: l, from: c },
-            Msg::Data {
-                line: l,
-                grant: DataGrant::Exclusive,
-                acks_expected: 2,
-            },
-            Msg::Inv {
-                line: l,
-                requester: c,
-                star: true,
-            },
-            Msg::FwdGetS {
-                line: l,
-                requester: c,
-            },
-            Msg::FwdGetX {
-                line: l,
-                requester: c,
-                star: false,
-            },
-            Msg::BackInv { line: l, slice: 1 },
-            Msg::Clear { line: l },
-            Msg::Nack {
-                line: l,
-                was_write: true,
-            },
-            Msg::InvAck { line: l, from: c },
-            Msg::InvDefer { line: l, from: c },
-            Msg::OwnerData {
-                line: l,
-                grant: DataGrant::Modified,
-                from: c,
-            },
-            Msg::CopyBack {
-                line: l,
-                from: c,
-                dirty: true,
-            },
-            Msg::BackInvAck {
-                line: l,
-                from: c,
-                dirty: false,
-            },
-            Msg::BackInvDefer { line: l, from: c },
-        ];
-        for m in msgs {
-            let mut e = pl_base::Enc::new();
-            m.encode_into(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = pl_base::Dec::new(&bytes);
-            assert_eq!(Msg::decode(&mut d).unwrap(), m);
-            d.finish().unwrap();
-        }
-        for n in [NodeId::Core(c), NodeId::Slice(5)] {
-            let mut e = pl_base::Enc::new();
-            n.encode_into(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = pl_base::Dec::new(&bytes);
-            assert_eq!(NodeId::decode(&mut d).unwrap(), n);
-            d.finish().unwrap();
         }
     }
 

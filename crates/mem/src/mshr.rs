@@ -173,60 +173,6 @@ impl MshrFile {
     pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.entries.keys()
     }
-
-    /// Encodes the outstanding misses (in allocation order) for a
-    /// checkpoint spill. Capacity is config-derived and skipped.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.entries.len());
-        for (line, entry) in self.entries.iter() {
-            e.u64(line.raw());
-            e.usize(entry.waiters.len());
-            for w in &entry.waiters {
-                e.u64(w.0);
-            }
-            e.bool(entry.write_intent);
-            e.bool(entry.pinned);
-        }
-    }
-
-    /// Overlays entries encoded by [`MshrFile::encode_into`] onto a
-    /// same-capacity file. Insertion order in the stream becomes the
-    /// allocation order, reproducing the original iteration order.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n > self.capacity {
-            return Err(format!(
-                "mshr: {n} encoded entries exceed capacity {}",
-                self.capacity
-            ));
-        }
-        let mut entries = LineTable::with_capacity(self.capacity);
-        for _ in 0..n {
-            let line = pl_base::LineAddr::from_line_number(d.u64()?);
-            let n_waiters = d.usize()?;
-            let mut waiters = Vec::with_capacity(n_waiters);
-            for _ in 0..n_waiters {
-                waiters.push(SeqNum(d.u64()?));
-            }
-            let write_intent = d.bool()?;
-            let pinned = d.bool()?;
-            if entries
-                .insert(
-                    line,
-                    MshrEntry {
-                        waiters,
-                        write_intent,
-                        pinned,
-                    },
-                )
-                .is_some()
-            {
-                return Err(format!("mshr: duplicate encoded line {line:?}"));
-            }
-        }
-        self.entries = entries;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -331,91 +331,6 @@ impl Noc {
     pub fn hops_traversed(&self) -> u64 {
         self.hops_traversed
     }
-
-    /// Encodes the in-flight messages and traffic counters for a
-    /// checkpoint spill. Geometry (mesh shape, hop latency) is
-    /// config-derived and skipped; active pairs are written sparsely as
-    /// `(src, dst)` dense indices so the decode side's table size need
-    /// not match. The fault injector is never spilled — checkpointing is
-    /// gated off when fault injection is enabled.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        debug_assert!(
-            self.faults.is_none(),
-            "checkpoint spill with fault injection enabled"
-        );
-        let active: Vec<usize> = (0..self.pairs.len())
-            .filter(|&i| {
-                !self.pairs[i].q.is_empty() || self.pairs[i].last_deliver_at != Cycle::ZERO
-            })
-            .collect();
-        e.usize(active.len());
-        for i in active {
-            let pq = &self.pairs[i];
-            e.usize(i / self.nodes);
-            e.usize(i % self.nodes);
-            e.u64(pq.last_deliver_at.raw());
-            e.usize(pq.q.len());
-            for &(at, seq, msg) in &pq.q {
-                e.u64(at.raw());
-                e.u64(seq);
-                msg.encode_into(e);
-            }
-        }
-        e.u64(self.next_seq);
-        e.u64(self.messages_sent);
-        e.u64(self.hops_traversed);
-    }
-
-    /// Overlays state encoded by [`Noc::encode_into`]. The ready-heap is
-    /// rebuilt from the head of each non-empty pair queue and the
-    /// in-flight count recomputed, reproducing exactly the structures a
-    /// live run would hold at a quiescent (post-deliver) point.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        for pq in &mut self.pairs {
-            pq.q.clear();
-            pq.last_deliver_at = Cycle::ZERO;
-        }
-        self.ready.clear();
-        self.in_flight = 0;
-        let n_active = d.usize()?;
-        for _ in 0..n_active {
-            let si = d.usize()?;
-            let di = d.usize()?;
-            if si.max(di) >= self.nodes {
-                self.grow_to(si.max(di) + 1);
-            }
-            let last_deliver_at = Cycle(d.u64()?);
-            let n_msgs = d.usize()?;
-            let pq = &mut self.pairs[si * self.nodes + di];
-            pq.last_deliver_at = last_deliver_at;
-            let mut prev: Option<(Cycle, u64)> = None;
-            for _ in 0..n_msgs {
-                let at = Cycle(d.u64()?);
-                let seq = d.u64()?;
-                if let Some(p) = prev {
-                    if (at, seq) <= p {
-                        return Err(format!(
-                            "noc: pair ({si},{di}) queue not sorted at seq {seq}"
-                        ));
-                    }
-                }
-                prev = Some((at, seq));
-                let msg = Msg::decode(d)?;
-                pq.q.push_back((at, seq, msg));
-            }
-            self.in_flight += n_msgs;
-        }
-        for i in 0..self.pairs.len() {
-            if let Some(&(at, seq, _)) = self.pairs[i].q.front() {
-                let (si, di) = (i / self.nodes, i % self.nodes);
-                self.ready.push(Reverse((at, seq, si as u32, di as u32)));
-            }
-        }
-        self.next_seq = d.u64()?;
-        self.messages_sent = d.u64()?;
-        self.hops_traversed = d.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -614,34 +529,6 @@ mod tests {
             }
         }
         assert_eq!(noc.pair_slots(), 16 * 16);
-    }
-
-    #[test]
-    fn codec_round_trips_in_flight_messages() {
-        let mut noc = Noc::with_nodes(4, 2, 1, 4, 4);
-        noc.send(Cycle(5), NodeId::Core(CoreId(0)), NodeId::Slice(3), gets(0));
-        noc.send(Cycle(5), NodeId::Core(CoreId(0)), NodeId::Slice(3), gets(1));
-        noc.send(Cycle(6), NodeId::Slice(1), NodeId::Core(CoreId(2)), gets(2));
-        // Partially drain so counters and queues diverge.
-        let _ = noc.deliver(Cycle(6));
-
-        let mut e = pl_base::Enc::new();
-        noc.encode_into(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut fresh = Noc::with_nodes(4, 2, 1, 4, 4);
-        // Pre-existing garbage must be cleared by the overlay.
-        fresh.send(Cycle(0), NodeId::Core(CoreId(1)), NodeId::Slice(0), gets(9));
-        let mut d = pl_base::Dec::new(&bytes);
-        fresh.decode_overlay(&mut d).unwrap();
-        d.finish().unwrap();
-
-        assert_eq!(fresh.in_flight(), noc.in_flight());
-        assert_eq!(fresh.messages_sent(), noc.messages_sent());
-        assert_eq!(fresh.hops_traversed(), noc.hops_traversed());
-        assert_eq!(fresh.next_delivery(), noc.next_delivery());
-        // Draining both from the same point yields identical deliveries.
-        assert_eq!(fresh.deliver(Cycle(1000)), noc.deliver(Cycle(1000)));
     }
 
     #[test]

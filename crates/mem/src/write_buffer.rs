@@ -179,63 +179,6 @@ impl WriteBuffer {
     pub fn iter(&self) -> impl Iterator<Item = &WbEntry> {
         self.entries.iter()
     }
-
-    /// Encodes the buffered stores (oldest to youngest) for a checkpoint
-    /// spill. Capacity is config-derived and skipped.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.entries.len());
-        for entry in self.entries.iter() {
-            e.u64(entry.addr.raw());
-            e.u64(entry.value);
-            e.u8(match entry.state {
-                WbState::Idle => 0,
-                WbState::Requested => 1,
-                WbState::WaitingRetry => 2,
-            });
-            e.bool(entry.use_star);
-            e.u64(entry.retry_at.raw());
-            e.usize(entry.acks_pending);
-            e.bool(entry.saw_defer);
-            e.bool(entry.have_data);
-        }
-    }
-
-    /// Overlays entries encoded by [`WriteBuffer::encode_into`] onto a
-    /// same-capacity buffer.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n > self.entries.capacity() {
-            return Err(format!(
-                "write buffer: {n} encoded entries exceed capacity {}",
-                self.entries.capacity()
-            ));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let addr = Addr::new(d.u64()?);
-            let value = d.u64()?;
-            let state = match d.u8()? {
-                0 => WbState::Idle,
-                1 => WbState::Requested,
-                2 => WbState::WaitingRetry,
-                t => return Err(format!("write buffer: bad state tag {t}")),
-            };
-            let entry = WbEntry {
-                addr,
-                value,
-                state,
-                use_star: d.bool()?,
-                retry_at: Cycle(d.u64()?),
-                acks_pending: d.usize()?,
-                saw_defer: d.bool()?,
-                have_data: d.bool()?,
-            };
-            self.entries
-                .push_back(entry)
-                .map_err(|_| "write buffer: overflow during decode".to_string())?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -62,43 +62,6 @@ impl Btb {
     pub fn capacity(&self) -> usize {
         self.entries.len()
     }
-
-    /// Encodes every slot for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.entries.len());
-        for slot in &self.entries {
-            match slot {
-                Some((tag, target)) => {
-                    e.bool(true);
-                    e.u64(*tag);
-                    e.u64(target.0 as u64);
-                }
-                None => e.bool(false),
-            }
-        }
-    }
-
-    /// Overlays slots encoded by [`Btb::encode_into`] onto a same-size
-    /// BTB.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n != self.entries.len() {
-            return Err(format!(
-                "btb: {n} encoded slots, table has {}",
-                self.entries.len()
-            ));
-        }
-        for slot in &mut self.entries {
-            *slot = if d.bool()? {
-                let tag = d.u64()?;
-                let target = d.usize()?;
-                Some((tag, Pc(target)))
-            } else {
-                None
-            };
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

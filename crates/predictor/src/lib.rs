@@ -179,26 +179,6 @@ impl BranchPredictor {
     pub fn spin_advance(&mut self, k: u64, deltas: &[(usize, u32)]) {
         self.loop_pred.spin_advance(k, deltas);
     }
-
-    /// Encodes the full predictor state for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        self.tage.encode_into(e);
-        self.loop_pred.encode_into(e);
-        self.btb.encode_into(e);
-        self.ras.encode_into(e);
-        e.u64(self.ghr);
-    }
-
-    /// Overlays state encoded by [`BranchPredictor::encode_into`] onto a
-    /// same-geometry predictor.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        self.tage.decode_overlay(d)?;
-        self.loop_pred.decode_overlay(d)?;
-        self.btb.decode_overlay(d)?;
-        self.ras.decode_overlay(d)?;
-        self.ghr = d.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -310,31 +290,5 @@ mod tests {
         let (pred, ckpt) = bp.predict_cond(Pc(7777));
         bp.update_cond(Pc(7777), !pred, pred, &ckpt);
         assert!(BranchPredictor::spin_delta(&base, &bp).is_none());
-    }
-
-    #[test]
-    fn codec_round_trips_trained_state() {
-        let mut bp = BranchPredictor::new(64, 4);
-        for i in 0..600 {
-            let pc = Pc(13 + (i % 5));
-            let (pred, ckpt) = bp.predict_cond(pc);
-            bp.update_cond(pc, i % 3 != 0, pred, &ckpt);
-            bp.update_target(pc, Pc(100 + i));
-        }
-        bp.push_return(Pc(555));
-        let mut e = pl_base::Enc::new();
-        bp.encode_into(&mut e);
-        let bytes = e.into_bytes();
-        let mut fresh = BranchPredictor::new(64, 4);
-        assert_ne!(fresh, bp);
-        let mut d = pl_base::Dec::new(&bytes);
-        fresh.decode_overlay(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(fresh, bp);
-
-        // Wrong geometry is rejected.
-        let mut wrong = BranchPredictor::new(128, 4);
-        let mut d = pl_base::Dec::new(&bytes);
-        assert!(wrong.decode_overlay(&mut d).is_err());
     }
 }

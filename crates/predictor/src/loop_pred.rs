@@ -164,38 +164,6 @@ impl LoopPredictor {
             e.current = u32::try_from(grown).expect("loop trip counter overflow");
         }
     }
-
-    /// Encodes the full table for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.entries.len());
-        for en in &self.entries {
-            e.u64(en.tag);
-            e.u32(en.trip);
-            e.u32(en.current);
-            e.u8(en.confidence);
-            e.bool(en.valid);
-        }
-    }
-
-    /// Overlays a table encoded by [`LoopPredictor::encode_into`] onto a
-    /// same-geometry predictor.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n != self.entries.len() {
-            return Err(format!(
-                "loop predictor: {n} encoded slots, table has {}",
-                self.entries.len()
-            ));
-        }
-        for en in &mut self.entries {
-            en.tag = d.u64()?;
-            en.trip = d.u32()?;
-            en.current = d.u32()?;
-            en.confidence = d.u8()?;
-            en.valid = d.bool()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

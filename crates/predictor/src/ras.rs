@@ -88,40 +88,6 @@ impl Ras {
         let idx = (self.top + self.slots.len() - 1) % self.slots.len();
         self.slots[idx]
     }
-
-    /// Encodes the stack for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.slots.len());
-        for slot in &self.slots {
-            e.opt_u64(slot.map(|pc| pc.0 as u64));
-        }
-        e.usize(self.top);
-        e.usize(self.depth);
-    }
-
-    /// Overlays a stack encoded by [`Ras::encode_into`] onto a
-    /// same-capacity RAS.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n != self.slots.len() {
-            return Err(format!(
-                "ras: {n} encoded slots, stack has {}",
-                self.slots.len()
-            ));
-        }
-        for slot in &mut self.slots {
-            *slot = match d.opt_u64()? {
-                Some(v) => Some(Pc(usize::try_from(v).map_err(|_| "ras: pc overflow")?)),
-                None => None,
-            };
-        }
-        self.top = d.usize()?;
-        self.depth = d.usize()?;
-        if self.top >= self.slots.len() || self.depth > self.slots.len() {
-            return Err("ras: decoded top/depth out of range".to_string());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

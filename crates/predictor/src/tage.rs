@@ -211,64 +211,6 @@ impl Tage {
             e.useful -= 1;
         }
     }
-
-    /// Encodes every table for a checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.bimodal.len());
-        for &c in &self.bimodal {
-            e.u8(c);
-        }
-        e.usize(self.tables.len());
-        for t in &self.tables {
-            e.usize(t.entries.len());
-            for en in &t.entries {
-                e.u32(en.tag as u32);
-                e.u8(en.ctr as u8);
-                e.u8(en.useful);
-                e.bool(en.valid);
-            }
-        }
-        e.u64(self.alloc_seed);
-    }
-
-    /// Overlays tables encoded by [`Tage::encode_into`] onto a
-    /// same-geometry predictor.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if n != self.bimodal.len() {
-            return Err(format!(
-                "tage: {n} bimodal entries, table has {}",
-                self.bimodal.len()
-            ));
-        }
-        for c in &mut self.bimodal {
-            *c = d.u8()?;
-        }
-        let n = d.usize()?;
-        if n != self.tables.len() {
-            return Err(format!(
-                "tage: {n} tagged tables, have {}",
-                self.tables.len()
-            ));
-        }
-        for t in &mut self.tables {
-            let n = d.usize()?;
-            if n != t.entries.len() {
-                return Err(format!(
-                    "tage: {n} tagged entries, table has {}",
-                    t.entries.len()
-                ));
-            }
-            for en in &mut t.entries {
-                en.tag = d.u32()? as u16;
-                en.ctr = d.u8()? as i8;
-                en.useful = d.u8()?;
-                en.valid = d.bool()?;
-            }
-        }
-        self.alloc_seed = d.u64()?;
-        Ok(())
-    }
 }
 
 impl Default for Tage {

@@ -142,42 +142,6 @@ impl Cpt {
     }
 }
 
-impl Cpt {
-    /// Encodes the dynamic contents (lines, blocked flag, accumulators)
-    /// for a checkpoint spill. Capacity is config-derived and skipped.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        e.usize(self.lines.len());
-        for l in &self.lines {
-            e.u64(l.raw());
-        }
-        e.bool(self.blocked);
-        e.u64(self.insert_attempts);
-        e.u64(self.overflows);
-        e.usize(self.peak_occupancy);
-    }
-
-    /// Overlays contents encoded by [`Cpt::encode_into`] onto a
-    /// same-capacity table.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        if let Some(cap) = self.capacity {
-            if n > cap {
-                return Err(format!("cpt: {n} encoded lines exceed capacity {cap}"));
-            }
-        }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            lines.push(LineAddr::from_line_number(d.u64()?));
-        }
-        self.lines = lines;
-        self.blocked = d.bool()?;
-        self.insert_attempts = d.u64()?;
-        self.overflows = d.u64()?;
-        self.peak_occupancy = d.usize()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -212,90 +212,6 @@ impl Cst {
     }
 }
 
-impl Cst {
-    /// Encodes the table contents for a checkpoint spill. Geometry
-    /// (finite vs. ideal, entry count, records per entry) is
-    /// config-derived; a variant tag is still written so a mismatched
-    /// overlay is rejected instead of silently misread.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        let rec = |e: &mut pl_base::Enc, r: &Record| {
-            e.u64(r.line_hash);
-            e.u64(r.lq_id);
-        };
-        match &self.table {
-            Table::Finite(entries) => {
-                e.u8(0);
-                e.usize(entries.len());
-                for recs in entries {
-                    e.usize(recs.len());
-                    for r in recs {
-                        rec(e, r);
-                    }
-                }
-            }
-            Table::Ideal(map) => {
-                e.u8(1);
-                let mut keys: Vec<u64> = map.keys().copied().collect();
-                keys.sort_unstable();
-                e.usize(keys.len());
-                for k in keys {
-                    e.u64(k);
-                    let recs = &map[&k];
-                    e.usize(recs.len());
-                    for r in recs {
-                        rec(e, r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Overlays contents encoded by [`Cst::encode_into`] onto a
-    /// same-geometry table.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let rec = |d: &mut pl_base::Dec<'_>| -> Result<Record, String> {
-            Ok(Record {
-                line_hash: d.u64()?,
-                lq_id: d.u64()?,
-            })
-        };
-        let tag = d.u8()?;
-        match (&mut self.table, tag) {
-            (Table::Finite(entries), 0) => {
-                let n = d.usize()?;
-                if n != entries.len() {
-                    return Err(format!(
-                        "cst: {n} encoded entries, table has {}",
-                        entries.len()
-                    ));
-                }
-                for recs in entries.iter_mut() {
-                    let m = d.usize()?;
-                    recs.clear();
-                    for _ in 0..m {
-                        recs.push(rec(d)?);
-                    }
-                }
-            }
-            (Table::Ideal(map), 1) => {
-                map.clear();
-                let n = d.usize()?;
-                for _ in 0..n {
-                    let k = d.u64()?;
-                    let m = d.usize()?;
-                    let mut recs = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        recs.push(rec(d)?);
-                    }
-                    map.insert(k, recs);
-                }
-            }
-            _ => return Err(format!("cst: table variant mismatch (tag {tag})")),
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

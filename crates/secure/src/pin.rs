@@ -503,79 +503,6 @@ impl PinGovernor {
             && *dir_key_lines == other.dir_key_lines
     }
 
-    /// Encodes the dynamic governor state (CSTs, CPT, LQ-ID allocator,
-    /// pin ground truth, stats) for a checkpoint spill. Geometry and
-    /// mode are config-derived and skipped.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        for cst in [&self.l1_cst, &self.dir_cst] {
-            match cst {
-                Some(c) => {
-                    e.bool(true);
-                    c.encode_into(e);
-                }
-                None => e.bool(false),
-            }
-        }
-        self.cpt.encode_into(e);
-        e.u64(self.next_lq_id);
-        e.bool(self.draining_wraparound);
-        let mut pins: Vec<(u64, u64)> = self
-            .pin_counts
-            .iter()
-            .map(|(l, &c)| (l.raw(), c as u64))
-            .collect();
-        pins.sort_unstable();
-        e.usize(pins.len());
-        for (l, c) in pins {
-            e.u64(l);
-            e.u64(c);
-        }
-        for map in [&self.l1_set_lines, &self.dir_key_lines] {
-            let mut kv: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v as u64)).collect();
-            kv.sort_unstable();
-            e.usize(kv.len());
-            for (k, v) in kv {
-                e.u64(k);
-                e.u64(v);
-            }
-        }
-        self.stats.encode_into(e);
-    }
-
-    /// Overlays state encoded by [`PinGovernor::encode_into`] onto a
-    /// freshly constructed same-config governor.
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        for cst in [&mut self.l1_cst, &mut self.dir_cst] {
-            let present = d.bool()?;
-            match (cst, present) {
-                (Some(c), true) => c.decode_overlay(d)?,
-                (None, false) => {}
-                _ => return Err("pin: CST presence mismatch".to_string()),
-            }
-        }
-        self.cpt.decode_overlay(d)?;
-        self.next_lq_id = d.u64()?;
-        self.draining_wraparound = d.bool()?;
-        let n = d.usize()?;
-        self.pin_counts = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let l = LineAddr::from_line_number(d.u64()?);
-            let c = d.usize()?;
-            self.pin_counts.insert(l, c);
-        }
-        for map in [&mut self.l1_set_lines, &mut self.dir_key_lines] {
-            let n = d.usize()?;
-            map.clear();
-            for _ in 0..n {
-                let k = d.u64()?;
-                let v = d.usize()?;
-                map.insert(k, v);
-            }
-        }
-        self.stats.decode_overlay(d)?;
-        Ok(())
-    }
-
     fn l1_key(&self, line: LineAddr) -> u64 {
         line.index_bits(self.l1_index_bits)
     }

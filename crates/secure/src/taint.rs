@@ -106,29 +106,6 @@ impl TaintTracker {
         }
         self.tainted = self.tainted.iter().map(|s| SeqNum(s.0 + dseq)).collect();
     }
-
-    /// Encodes the tainted set (sorted, for determinism) for a
-    /// checkpoint spill.
-    pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        let mut seqs: Vec<u64> = self.tainted.iter().map(|s| s.0).collect();
-        seqs.sort_unstable();
-        e.usize(seqs.len());
-        for s in seqs {
-            e.u64(s);
-        }
-    }
-
-    /// Replaces the tainted set with one encoded by
-    /// [`TaintTracker::encode_into`].
-    pub fn decode_overlay(&mut self, d: &mut pl_base::Dec<'_>) -> Result<(), String> {
-        let n = d.usize()?;
-        let mut set = HashSet::with_capacity(n);
-        for _ in 0..n {
-            set.insert(SeqNum(d.u64()?));
-        }
-        self.tainted = set;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark (perf/, a workspace of its own) builds against the
+# simulator's public API; its tests catch a change that breaks it.
+cargo test -q --offline --manifest-path perf/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Perf lints are advisory (warn, not deny): surface regressions in the
 # simulator kernel's hot loops without blocking unrelated changes.

@@ -38,8 +38,6 @@ struct Args {
     cache_max_entries: Option<usize>,
     cache_max_bytes: Option<u64>,
     port_file: Option<String>,
-    checkpoint_period: Option<u64>,
-    kill_after_checkpoints: Option<u64>,
 }
 
 fn usage() -> ! {
@@ -65,13 +63,9 @@ fn usage() -> ! {
            --cache-max-entries N           evict LRU entries past N cached results\n\
            --cache-max-bytes N             evict LRU entries past N total cached bytes\n\
            --port-file FILE                write the bound address here once listening\n\
-           --checkpoint-period N           cycles between job checkpoints\n\
          \n\
          submit — run a job on a server (same workload/config flags as local):\n\
            --server HOST:PORT              server address (or PL_SWEEP_SERVER)\n\
-           --kill-after-checkpoints N      fault injection: kill the worker after N\n\
-                                           checkpoints; the job resumes from the last one\n\
-           --checkpoint-period N           cycles between checkpoints for this job\n\
          prints the result JSON on stdout; cached/digest metadata goes to stderr\n\
          \n\
          shutdown — stop a server:\n\
@@ -101,8 +95,6 @@ fn parse(argv: &[String]) -> Args {
         cache_max_entries: None,
         cache_max_bytes: None,
         port_file: None,
-        checkpoint_period: None,
-        kill_after_checkpoints: None,
     };
     let mut i = 0;
     let value = |argv: &[String], i: usize| -> String {
@@ -188,15 +180,6 @@ fn parse(argv: &[String]) -> Args {
             }
             "--port-file" => {
                 args.port_file = Some(value(argv, i));
-                i += 1;
-            }
-            "--checkpoint-period" => {
-                args.checkpoint_period = Some(value(argv, i).parse().unwrap_or_else(|_| usage()));
-                i += 1;
-            }
-            "--kill-after-checkpoints" => {
-                args.kill_after_checkpoints =
-                    Some(value(argv, i).parse().unwrap_or_else(|_| usage()));
                 i += 1;
             }
             _ => usage(),
@@ -326,9 +309,6 @@ fn cmd_serve(args: &Args) {
         cache_dir: args.cache_dir.clone().into(),
         cache_max_entries: args.cache_max_entries,
         cache_max_bytes: args.cache_max_bytes,
-        checkpoint_period: args
-            .checkpoint_period
-            .unwrap_or(serve::DEFAULT_CHECKPOINT_PERIOD),
         port_file: args.port_file.clone().map(Into::into),
     };
     if let Err(e) = serve::serve(&opts) {
@@ -341,13 +321,7 @@ fn cmd_submit(args: &Args) {
     let addr = server_addr(args);
     let (name, workload) = build_workload(args);
     let cfg = build_config(args);
-    let line = serve::run_request_json(
-        &cfg,
-        None,
-        &workload,
-        args.kill_after_checkpoints,
-        args.checkpoint_period,
-    );
+    let line = serve::run_request_json(&cfg, None, &workload);
     let resp = serve::request(&addr, &line).unwrap_or_else(|e| {
         eprintln!("cannot reach server {addr}: {e}");
         std::process::exit(1);
@@ -359,9 +333,8 @@ fn cmd_submit(args: &Args) {
             println!("{result}");
             let v = pinned_loads::trace::json::parse(&resp).expect("validated by extract_result");
             let digest = v.get("digest").and_then(|d| d.as_str()).unwrap_or("?");
-            let resumed = v.get("resumed").and_then(|r| r.as_str()).unwrap_or("0");
             eprintln!(
-                "workload={name} digest={digest} cached={} resumed={resumed}",
+                "workload={name} digest={digest} cached={}",
                 serve::response_was_cached(&resp),
             );
         }

@@ -9,7 +9,7 @@ use pinned_loads::base::{
     CoreId, DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, TraceConfig, VerifyConfig,
 };
 use pinned_loads::isa::{BranchCond, ProgramBuilder, Reg};
-use pinned_loads::machine::{Machine, RunError, RunResult, StepOutcome};
+use pinned_loads::machine::{Machine, RunError, RunResult};
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
 use pl_verify::Checker;
 
@@ -432,14 +432,14 @@ fn fast_forward_reports_identical_deadlocks() {
     assert_eq!(run(false), run(true));
 }
 
-/// Everything a checkpoint must preserve, reduced to one comparable
-/// value: final cycle count, per-core retirement, the full exported
-/// stats text (counters *and* histograms), the committed memory image,
-/// and the invariant checker's per-core retired-load digest — an
-/// architectural fingerprint of every load the machine ever committed.
-type CheckpointFingerprint = (u64, Vec<u64>, String, Vec<(u64, u64)>, Vec<(u64, u64)>);
+/// A checked run reduced to one comparable value: final cycle count,
+/// per-core retirement, the full exported stats text (counters *and*
+/// histograms), the committed memory image, and the invariant checker's
+/// per-core retired-load digest — an architectural fingerprint of every
+/// load the machine ever committed.
+type CheckedFingerprint = (u64, Vec<u64>, String, Vec<(u64, u64)>, Vec<(u64, u64)>);
 
-fn checked_fingerprint(m: &mut Machine, res: &RunResult) -> CheckpointFingerprint {
+fn checked_fingerprint(m: &mut Machine, res: &RunResult) -> CheckedFingerprint {
     let mut observer = m.take_check_observer().expect("checker attached");
     let checker = observer
         .as_any_mut()
@@ -457,75 +457,6 @@ fn checked_fingerprint(m: &mut Machine, res: &RunResult) -> CheckpointFingerprin
         m.memory_words(),
         digests,
     )
-}
-
-/// Snapshot/restore must be bit-invisible across the whole defense ×
-/// core-count × fast-forward matrix: pausing mid-run, snapshotting,
-/// dropping the machine, restoring the checkpoint into a *fresh*
-/// machine (with the check observer handed across, since checkpoints
-/// deliberately exclude it), and running to completion must reproduce
-/// the uninterrupted run exactly — cycles, retirement, counters,
-/// histograms, memory image, and the retired-load digest stream.
-#[test]
-fn checkpoint_restore_is_bit_identical_across_the_matrix() {
-    let spec = spec_suite(Scale::Test);
-    let gather = spec.iter().find(|w| w.name == "gather").unwrap();
-    for cores in [1usize, 4] {
-        let parallel = parallel_suite(cores.max(2), Scale::Test);
-        let w = if cores == 1 { gather } else { &parallel[2] };
-        for cfg_base in configs() {
-            for ff in [false, true] {
-                let mut cfg = if cores == 1 {
-                    MachineConfig::default_single_core()
-                } else {
-                    MachineConfig::default_multi_core(cores)
-                };
-                cfg.defense = cfg_base.defense;
-                cfg.pinned_loads = cfg_base.pinned_loads.clone();
-                cfg.fast_forward = ff;
-                cfg.verify.enabled = true;
-                let label = format!(
-                    "kernel `{}` on {cores} cores under {} (ff={ff})",
-                    w.name,
-                    cfg.label()
-                );
-
-                // Reference: one uninterrupted run.
-                let mut m = Machine::new(&cfg).unwrap();
-                w.install(&mut m);
-                m.set_check_observer(Box::new(Checker::new()));
-                let res = m
-                    .run(500_000_000)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let reference = checked_fingerprint(&mut m, &res);
-
-                // Checkpointed: pause mid-run, snapshot, *drop* the
-                // original machine, restore, finish on the clone.
-                let mut m = Machine::new(&cfg).unwrap();
-                w.install(&mut m);
-                m.set_check_observer(Box::new(Checker::new()));
-                let pause = (reference.0 / 2).max(1);
-                let outcome = m
-                    .run_until(500_000_000, pause)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let StepOutcome::Paused = outcome else {
-                    panic!("{label}: finished before the midpoint pause at {pause}");
-                };
-                let cp = m.snapshot();
-                assert!(cp.cycle() >= pause, "{label}: snapshot before pause bound");
-                let observer = m.take_check_observer().expect("checker attached");
-                drop(m);
-                let mut m = Machine::restore(&cp);
-                m.set_check_observer(observer);
-                let res = m
-                    .run(500_000_000)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let restored = checked_fingerprint(&mut m, &res);
-
-                assert_eq!(reference, restored, "{label}: checkpointed run diverged");
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,15 +1,14 @@
-//! End-to-end tests of `plsim serve`'s job server: the content-addressed
-//! result cache must serve repeats byte-identically, trace-carrying
-//! results must never be cached, and a worker killed mid-job must resume
-//! from its last checkpoint and still produce the exact result an
-//! uninterrupted run would have.
+//! End-to-end tests of `plsim serve`'s job server: a served result must
+//! be byte-identical to a direct in-process run, the content-addressed
+//! result cache must serve repeats byte-identically, and trace-carrying
+//! results must never be cached.
 
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 
 use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, TraceConfig};
 use pinned_loads::bench::serve::{self, ServeOptions};
-use pinned_loads::machine::{Machine, StepOutcome};
+use pinned_loads::machine::Machine;
 use pinned_loads::workloads::{spec_suite, Scale, Workload};
 
 fn test_workload() -> Workload {
@@ -35,15 +34,11 @@ struct TestServer {
     handle: JoinHandle<std::io::Result<()>>,
 }
 
-fn start_server(test_name: &str, checkpoint_period: u64) -> TestServer {
-    start_bounded_server(test_name, checkpoint_period, None)
+fn start_server(test_name: &str) -> TestServer {
+    start_bounded_server(test_name, None)
 }
 
-fn start_bounded_server(
-    test_name: &str,
-    checkpoint_period: u64,
-    cache_max_entries: Option<usize>,
-) -> TestServer {
+fn start_bounded_server(test_name: &str, cache_max_entries: Option<usize>) -> TestServer {
     let scratch = std::env::temp_dir().join(format!(
         "plsim-serve-test-{}-{test_name}",
         std::process::id()
@@ -58,7 +53,6 @@ fn start_bounded_server(
         cache_dir: cache_dir.clone(),
         cache_max_entries,
         cache_max_bytes: None,
-        checkpoint_period,
         port_file: Some(port_file.clone()),
     };
     let handle = std::thread::spawn(move || serve::serve(&opts));
@@ -104,8 +98,15 @@ fn assert_cache_file_count(dir: &Path, expected: usize) {
 
 #[test]
 fn repeat_jobs_hit_the_cache_byte_identically() {
-    let server = start_server("repeat", serve::DEFAULT_CHECKPOINT_PERIOD);
-    let line = serve::run_request_json(&test_config(), None, &test_workload(), None, None);
+    let cfg = test_config();
+    let w = test_workload();
+    // Ground truth: the same job run directly, no server involved.
+    let mut m = Machine::new(&cfg).unwrap();
+    w.install(&mut m);
+    let direct = m.run(2_000_000_000).unwrap();
+
+    let server = start_server("repeat");
+    let line = serve::run_request_json(&cfg, None, &w);
 
     let first = serve::request(&server.addr, &line).unwrap();
     assert!(!serve::response_was_cached(&first), "{first}");
@@ -117,6 +118,20 @@ fn repeat_jobs_hit_the_cache_byte_identically() {
     let r1 = serve::extract_result(&first).unwrap();
     let r2 = serve::extract_result(&second).unwrap();
     assert_eq!(r1, r2, "cache hit altered the result bytes");
+    assert_eq!(
+        r1,
+        serve::result_to_json(&direct),
+        "served result diverged from the direct run"
+    );
+
+    // Fields the server does not know are ignored: a request from a
+    // client that sends extra job fields is the same job and hits the
+    // same entry.
+    let other_client = line.replacen("\"job\":{", "\"job\":{\"unknown_knob\":\"100\",", 1);
+    assert_ne!(other_client, line);
+    let third = serve::request(&server.addr, &other_client).unwrap();
+    assert!(serve::response_was_cached(&third), "{third}");
+    assert_eq!(serve::extract_result(&third).unwrap(), r1);
 
     // Exactly one content-addressed entry landed on disk.
     let files = server.cache_files();
@@ -124,9 +139,9 @@ fn repeat_jobs_hit_the_cache_byte_identically() {
     assert!(files[0].starts_with("plcache-"), "{files:?}");
     assert_cache_file_count(&server.cache_dir, 1);
 
-    // The stats command agrees: one miss, one hit.
+    // The stats command agrees: one miss, two hits.
     let stats = serve::request(&server.addr, "{\"cmd\":\"stats\"}").unwrap();
-    assert!(stats.contains("\"hits\":\"1\""), "{stats}");
+    assert!(stats.contains("\"hits\":\"2\""), "{stats}");
     assert!(stats.contains("\"misses\":\"1\""), "{stats}");
     server.shutdown();
 }
@@ -136,10 +151,10 @@ fn repeat_jobs_hit_the_cache_byte_identically() {
 /// cached trace-job reply would silently lose data on the repeat.
 #[test]
 fn traced_jobs_are_never_cached() {
-    let server = start_server("traced", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let server = start_server("traced");
     let mut cfg = test_config();
     cfg.trace = TraceConfig::enabled();
-    let line = serve::run_request_json(&cfg, None, &test_workload(), None, None);
+    let line = serve::run_request_json(&cfg, None, &test_workload());
 
     for _ in 0..2 {
         let resp = serve::request(&server.addr, &line).unwrap();
@@ -161,13 +176,13 @@ fn traced_jobs_are_never_cached() {
 /// re-run.
 #[test]
 fn bounded_server_cache_evicts_lru_and_reports_it() {
-    let server = start_bounded_server("evict", serve::DEFAULT_CHECKPOINT_PERIOD, Some(1));
+    let server = start_bounded_server("evict", Some(1));
     let w = test_workload();
     let cfg1 = test_config();
     let mut cfg2 = test_config();
     cfg2.seed ^= 0x5eed;
-    let line1 = serve::run_request_json(&cfg1, None, &w, None, None);
-    let line2 = serve::run_request_json(&cfg2, None, &w, None, None);
+    let line1 = serve::run_request_json(&cfg1, None, &w);
+    let line2 = serve::run_request_json(&cfg2, None, &w);
 
     let first = serve::request(&server.addr, &line1).unwrap();
     assert!(!serve::response_was_cached(&first), "{first}");
@@ -231,131 +246,4 @@ fn submit_exits_nonzero_on_job_level_error() {
         "error blob leaked to stdout: {}",
         String::from_utf8_lossy(&out.stdout)
     );
-}
-
-/// A worker killed after two checkpoints re-enqueues the job; whichever
-/// worker picks it up restores the last checkpoint instead of starting
-/// over, and the finished result is byte-identical to a direct,
-/// uninterrupted in-process run of the same job.
-#[test]
-fn killed_worker_resumes_from_checkpoint_with_identical_result() {
-    let cfg = test_config();
-    let w = test_workload();
-
-    // Ground truth: the same job run directly, no server involved.
-    let mut m = Machine::new(&cfg).unwrap();
-    w.install(&mut m);
-    let direct = m.run(2_000_000_000).unwrap();
-    let direct_json = serve::result_to_json(&direct);
-    // Checkpoint every ~1/5th of the run so kill_after_checkpoints=2
-    // strikes mid-run, not after completion.
-    let period = (direct.cycles / 5).max(1);
-
-    let server = start_server("kill", serve::DEFAULT_CHECKPOINT_PERIOD);
-    let line = serve::run_request_json(&cfg, None, &w, Some(2), Some(period));
-    let resp = serve::request(&server.addr, &line).unwrap();
-    assert!(!serve::response_was_cached(&resp), "{resp}");
-    assert!(
-        resp.contains("\"resumed\":\"1\""),
-        "job did not resume from a checkpoint: {resp}"
-    );
-    let result = serve::extract_result(&resp).unwrap();
-    assert_eq!(
-        result, direct_json,
-        "kill/resume diverged from the direct run"
-    );
-
-    // The checkpoints the worker took were also spilled to disk (the
-    // server-restart safety net), and the finished job cleaned its spill
-    // file up again.
-    let stats = serve::request(&server.addr, "{\"cmd\":\"stats\"}").unwrap();
-    assert!(
-        !stats.contains("\"ckpt_spills\":\"0\""),
-        "no checkpoint ever spilled to disk: {stats}"
-    );
-    assert!(stats.contains("\"ckpt_entries\":0"), "{stats}");
-
-    // The resumed job's (untraced) result is cached like any other, so a
-    // repeat — this time unkilled — hits the cache with the same bytes.
-    let repeat_line = serve::run_request_json(&cfg, None, &w, None, Some(period));
-    let repeat = serve::request(&server.addr, &repeat_line).unwrap();
-    assert!(serve::response_was_cached(&repeat), "{repeat}");
-    assert_eq!(serve::extract_result(&repeat).unwrap(), direct_json);
-    server.shutdown();
-}
-
-/// A *server* restart must not lose mid-run progress either: checkpoints
-/// spill to `plckpt-*.bin` files beside the result cache, and a fresh
-/// server asked for the same job resumes from the spill instead of
-/// starting over — with the exact bytes an uninterrupted run produces.
-#[test]
-fn server_restart_resumes_from_disk_spill() {
-    let cfg = test_config();
-    let w = test_workload();
-
-    // Ground truth: the same job run directly, no server involved.
-    let mut m = Machine::new(&cfg).unwrap();
-    w.install(&mut m);
-    let direct = m.run(2_000_000_000).unwrap();
-    let direct_json = serve::result_to_json(&direct);
-    let period = (direct.cycles / 5).max(1);
-
-    let server = start_server("restart", serve::DEFAULT_CHECKPOINT_PERIOD);
-
-    // Simulate the first server dying after its second checkpoint: leave
-    // behind exactly the spill file its worker would have written, via
-    // the same public store and state encoding the server itself uses.
-    // (The in-memory copy died with the process; the new server above
-    // has never seen this job.)
-    let digest = serve::job_digest(&cfg, None, &w);
-    let store = serve::CheckpointStore::new(&server.cache_dir).unwrap();
-    let mut killed = Machine::new(&cfg).unwrap();
-    w.install(&mut killed);
-    match killed.run_until(2_000_000_000, 2 * period).unwrap() {
-        StepOutcome::Paused => {}
-        StepOutcome::Done(_) => panic!("job finished before its second checkpoint"),
-    }
-    let mid_cycle = killed.now().raw();
-    store
-        .store(digest, mid_cycle, 0, &killed.encode_state())
-        .unwrap();
-    drop(killed);
-    assert_eq!(store.len(), 1);
-
-    // The restarted server resumes from the spill: the reply says so,
-    // the result is byte-identical to the uninterrupted run, and the
-    // spill file is cleaned up once the job completes.
-    let line = serve::run_request_json(&cfg, None, &w, None, Some(period));
-    let resp = serve::request(&server.addr, &line).unwrap();
-    assert!(!serve::response_was_cached(&resp), "{resp}");
-    assert!(
-        resp.contains("\"resumed\":\"1\""),
-        "restarted server did not resume from the disk spill: {resp}"
-    );
-    assert_eq!(
-        serve::extract_result(&resp).unwrap(),
-        direct_json,
-        "resume from disk diverged from the direct run"
-    );
-    assert_eq!(store.len(), 0, "completed job left its spill file behind");
-
-    // A corrupt spill must read as missing: the job restarts from cycle
-    // zero (resumed 0) and still produces the right bytes. Use a fresh
-    // digest (different checkpoint period changes nothing; same digest)
-    // — so first evict the cached result to force a re-run.
-    std::fs::remove_file(
-        serve::ResultCache::new(&server.cache_dir)
-            .unwrap()
-            .path_for(digest),
-    )
-    .unwrap();
-    std::fs::write(store.path_for(digest), b"not a checkpoint").unwrap();
-    let resp = serve::request(&server.addr, &line).unwrap();
-    assert!(!serve::response_was_cached(&resp), "{resp}");
-    assert!(
-        resp.contains("\"resumed\":\"0\""),
-        "corrupt spill should restart the job from scratch: {resp}"
-    );
-    assert_eq!(serve::extract_result(&resp).unwrap(), direct_json);
-    server.shutdown();
 }
