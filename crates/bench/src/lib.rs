@@ -16,7 +16,6 @@
 
 pub mod serve;
 pub mod sweep;
-pub mod timing;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -283,41 +283,7 @@ pub struct Core {
     /// mirror — its cost is proportional to the handful of entries that
     /// can actually make progress.
     issue_queue: VecDeque<SeqNum>,
-    /// One byte per LQ entry, kept in lockstep with `lq` (pushed at
-    /// dispatch, popped at retire, truncated with the squash `retain`),
-    /// marking entries the load-issue pass must examine. Demoted to
-    /// [`LQ_SKIP`] lazily by the scan itself when it re-confirms a
-    /// skip condition whose every exit is hooked (no address yet, fill
-    /// in flight, or performed and not awaiting exposure); promoted
-    /// back to [`LQ_VISIT`] at those exits (address generation, a fill
-    /// arriving into a store-data wait). Entries that must re-poll
-    /// every cycle — VP-blocked, fence-blocked, store-data waits, or
-    /// exposure-eligible invisible loads — simply stay `LQ_VISIT`.
-    lq_flags: VecDeque<u8>,
-    /// Number of [`LQ_VISIT`] bytes currently in `lq_flags`, maintained
-    /// at every flag transition so the load-issue pass can prove in O(1)
-    /// that a scan would visit nothing (the common case on a spinning or
-    /// drained core) and return without touching the mirror at all.
-    lq_visit_count: usize,
-    /// SoA mirror of the per-entry fields the per-tick LQ *search* paths
-    /// (TSO squash scan, memory-order-violation scan, pending-pin
-    /// promotion) filter on, kept in lockstep with `lq` via
-    /// [`Core::lq_sync`]: the 64-bit word index of the entry's address
-    /// ([`LQ_NO_WORD`] until generated). Packing the filter keys into
-    /// dense arrays lets those scans reject an entry from one or two
-    /// cache lines instead of touching each ~100-byte [`LqEntry`].
-    lq_words: Vec<u64>,
-    /// SoA mirror, second column: packed status bits
-    /// ([`LQS_PERFORMED`] / [`LQS_FORWARDED`] / [`LQS_INVISIBLE`] and the
-    /// pin tag at [`LQS_PIN_SHIFT`]).
-    lq_status: Vec<u8>,
 }
-
-/// `lq_flags` value: the load-issue pass would provably no-op (and emit
-/// no stall statistics) on this entry; skip without reading it.
-const LQ_SKIP: u8 = 0;
-/// `lq_flags` value: the load-issue pass must examine this entry.
-const LQ_VISIT: u8 = 1;
 
 /// `issue_flags` value: entry needs no further attention from the
 /// non-memory issue pass.
@@ -327,41 +293,6 @@ const ISSUE_CHECK: u8 = 1;
 /// `issue_flags` value: entry waits on `issue_blocked_on`; examine only
 /// after a completion.
 const ISSUE_PARKED: u8 = 2;
-
-/// `lq_words` sentinel: the entry's address is not generated yet, so no
-/// word- or line-keyed scan can match it.
-const LQ_NO_WORD: u64 = u64::MAX;
-/// `lq_status` bit: the value is bound (`performed_at.is_some()`).
-const LQS_PERFORMED: u8 = 1 << 0;
-/// `lq_status` bit: the value came from store-to-load forwarding.
-const LQS_FORWARDED: u8 = 1 << 1;
-/// `lq_status` bit: the value was bound invisibly (InvisiSpec).
-const LQS_INVISIBLE: u8 = 1 << 2;
-/// `lq_status` shift of the two-bit pin tag.
-const LQS_PIN_SHIFT: u32 = 3;
-/// Pin tags stored at [`LQS_PIN_SHIFT`].
-const LQS_PIN_UNPINNED: u8 = 0;
-const LQS_PIN_PENDING: u8 = 1;
-const LQS_PIN_PINNED: u8 = 2;
-
-/// The packed `lq_status` byte for one LQ entry.
-fn lq_status_of(e: &LqEntry) -> u8 {
-    let mut s = 0u8;
-    if e.performed() {
-        s |= LQS_PERFORMED;
-    }
-    if e.forwarded {
-        s |= LQS_FORWARDED;
-    }
-    if e.invisible {
-        s |= LQS_INVISIBLE;
-    }
-    s | (match e.pin {
-        PinState::Unpinned => LQS_PIN_UNPINNED,
-        PinState::Pending => LQS_PIN_PENDING,
-        PinState::Pinned => LQS_PIN_PINNED,
-    } << LQS_PIN_SHIFT)
-}
 
 impl Core {
     /// Creates a core running `program` under the given configuration.
@@ -432,10 +363,6 @@ impl Core {
             agg_store: VecDeque::with_capacity(cfg.core.rob_entries),
             issue_flags: VecDeque::with_capacity(cfg.core.rob_entries),
             issue_queue: VecDeque::with_capacity(cfg.core.rob_entries),
-            lq_flags: VecDeque::with_capacity(cfg.core.lq_entries),
-            lq_visit_count: 0,
-            lq_words: Vec::with_capacity(cfg.core.lq_entries),
-            lq_status: Vec::with_capacity(cfg.core.lq_entries),
         }
     }
 
@@ -1042,39 +969,14 @@ impl Core {
         } else {
             self.lq.first().map(|e| e.seq)
         };
-        // SoA scan: every predicate term is a packed column, so the usual
-        // no-victim outcome rejects each entry from the two dense mirrors
-        // without touching the LQ entries at all. The oldest-load
-        // exemption is positional — `oldest_seq` is exactly `lq[0]` —
-        // so the aggressive mode starts the scan at index 1.
-        debug_assert!(self.lq_soa_consistent());
-        let start = usize::from(oldest_seq.is_some());
-        let victim = self
-            .lq_words
-            .iter()
-            .zip(self.lq_status.iter())
-            .skip(start)
-            .position(|(&w, &s)| {
-                w != LQ_NO_WORD
-                    && w >> 3 == line.raw()
-                    && s & (LQS_PERFORMED | LQS_FORWARDED | LQS_INVISIBLE) == LQS_PERFORMED
-                    && (s >> LQS_PIN_SHIFT) & 0b11 != LQS_PIN_PINNED
-            })
-            .map(|i| &self.lq[start + i]);
-        debug_assert_eq!(
-            victim.map(|v| v.seq),
-            self.lq
-                .iter()
-                .find(|e| {
-                    e.performed()
-                        && !e.forwarded
-                        && !e.invisible
-                        && e.pin != PinState::Pinned
-                        && e.line() == Some(line)
-                        && Some(e.seq) != oldest_seq
-                })
-                .map(|e| e.seq)
-        );
+        let victim = self.lq.iter().find(|e| {
+            e.performed()
+                && !e.forwarded
+                && !e.invisible
+                && e.pin != PinState::Pinned
+                && e.line() == Some(line)
+                && Some(e.seq) != oldest_seq
+        });
         if let Some(v) = victim {
             let seq = v.seq;
             debug_assert_eq!(
@@ -1214,20 +1116,11 @@ impl Core {
     }
 
     fn promote_pending_pins(&mut self, line: LineAddr) {
-        debug_assert!(self.lq_soa_consistent());
-        for i in 0..self.lq.len() {
-            // SoA pre-filter: pin-pending entries on this line are rare,
-            // so reject on the packed columns without reading the entry.
-            if (self.lq_status[i] >> LQS_PIN_SHIFT) & 0b11 != LQS_PIN_PENDING {
+        for e in &mut self.lq {
+            if e.pin != PinState::Pending || e.line() != Some(line) {
                 continue;
             }
-            let w = self.lq_words[i];
-            if w == LQ_NO_WORD || w >> 3 != line.raw() {
-                continue;
-            }
-            debug_assert!(self.lq[i].pin == PinState::Pending && self.lq[i].line() == Some(line));
-            self.lq[i].pin = PinState::Pinned;
-            self.lq_sync(i);
+            e.pin = PinState::Pinned;
             if self.governor.record_pin(line) {
                 self.check.emit(CheckEvent::PinAcquired {
                     core: self.id,
@@ -1480,11 +1373,6 @@ impl Core {
                     }
                 }
                 self.lq.remove(0);
-                if self.lq_flags.pop_front() == Some(LQ_VISIT) {
-                    self.lq_visit_count -= 1;
-                }
-                self.lq_words.remove(0);
-                self.lq_status.remove(0);
             }
             match inst {
                 Inst::Call { .. } => self.arch_call_stack.push(pc.next()),
@@ -1810,7 +1698,6 @@ impl Core {
                     match governor.try_pin_early(line, lq_id, &live) {
                         Ok(newly_pinned) => {
                             self.lq[i].pin = PinState::Pinned;
-                            self.lq_sync(i);
                             if newly_pinned {
                                 self.check.emit(CheckEvent::PinAcquired {
                                     core: self.id,
@@ -1832,7 +1719,6 @@ impl Core {
                         && self.l1.peek(line).is_some_and(|s| s.readable())
                     {
                         self.lq[i].pin = PinState::Pinned;
-                        self.lq_sync(i);
                         if self.governor.record_pin(line) {
                             self.check.emit(CheckEvent::PinAcquired {
                                 core: self.id,
@@ -1845,7 +1731,6 @@ impl Core {
                     if e.waiting_fill {
                         let seq = e.seq;
                         self.lq[i].pin = PinState::Pending;
-                        self.lq_sync(i);
                         self.tracer.emit(EventKind::PinPending { seq, line });
                         active = true;
                         break;
@@ -2222,33 +2107,16 @@ impl Core {
         let word = addr.raw() >> 3;
         // Memory-order violation: a younger load already performed against
         // stale data (it read memory, or forwarded from a store older than
-        // this one). The SoA columns carry the word and performed bits, so
-        // the dominant no-match scan never reads an `LqEntry`.
-        debug_assert!(self.lq_soa_consistent());
-        let victim = self
-            .lq_words
-            .iter()
-            .zip(self.lq_status.iter())
-            .enumerate()
-            .filter(|&(_, (&w, &s))| w == word && s & LQS_PERFORMED != 0)
-            .map(|(i, _)| &self.lq[i])
-            .find(|l| l.seq > seq && l.forwarded_from.is_none_or(|f| f < seq));
-        debug_assert_eq!(
-            victim.map(|v| v.seq),
-            self.lq
-                .iter()
-                .find(|l| {
-                    l.seq > seq
-                        && l.performed()
-                        && l.addr.is_some_and(|a| a.raw() >> 3 == word)
-                        // The load is mis-ordered unless it already bound
-                        // its value from this store or a younger one;
-                        // values from the write buffer, memory, or an
-                        // older store are all stale.
-                        && l.forwarded_from.is_none_or(|f| f < seq)
-                })
-                .map(|l| l.seq)
-        );
+        // this one).
+        let victim = self.lq.iter().find(|l| {
+            l.seq > seq
+                && l.performed()
+                && l.addr.is_some_and(|a| a.raw() >> 3 == word)
+                // The load is mis-ordered unless it already bound its
+                // value from this store or a younger one; values from the
+                // write buffer, memory, or an older store are all stale.
+                && l.forwarded_from.is_none_or(|f| f < seq)
+        });
         if let Some(v) = victim {
             let vseq = v.seq;
             debug_assert_eq!(v.pin, PinState::Unpinned, "pinned loads are never squashed");
@@ -2436,8 +2304,6 @@ impl Core {
                             _ => unreachable!(),
                         };
                         self.lq[lq_idx].addr = Some(Addr::new(b.wrapping_add(offset as u64)));
-                        self.lq_sync(lq_idx);
-                        self.lq_promote(lq_idx);
                         self.rob[idx].issue_done = true;
                         self.issue_flags[idx] = ISSUE_SKIP;
                         budget -= 1;
@@ -2518,23 +2384,6 @@ impl Core {
         let mut active = false;
         let mut ports = 3usize; // L1-D read ports (Table 1)
         let aggr = self.aggr;
-        // Candidates come from the LQ flag mirror (see `lq_flags`): the
-        // scan walks one byte per LQ entry and reads an actual entry
-        // only when its flag says the visit could do something. A
-        // skipped entry is one this scan would provably no-op on, so
-        // visiting the flagged subset is equivalent to the full scan.
-        // Unlike the ROB pass there is no candidate queue: in lock-heavy
-        // parallel code a large fraction of the LQ stays `LQ_VISIT`
-        // (fence- and VP-blocked loads emit stall statistics every
-        // cycle), so indirection would cost more than the byte scan.
-        debug_assert!(self.lq_flags_consistent());
-        // O(1) early-out: with no `LQ_VISIT` entries the byte scan below
-        // would no-op without emitting a single statistic, so skipping it
-        // entirely is indistinguishable. This is the steady state of a
-        // core spinning on performed loads or blocked behind a fill.
-        if self.lq_visit_count == 0 {
-            return false;
-        }
         let mut i = 0usize;
         // Visits can squash an LQ suffix (validation mismatch); the
         // bound is re-read every iteration, so a truncated tail is
@@ -2542,10 +2391,6 @@ impl Core {
         while i < self.lq.len() {
             if ports == 0 {
                 break;
-            }
-            if self.lq_flags[i] != LQ_VISIT {
-                i += 1;
-                continue;
             }
             'load: {
                 let e = &self.lq[i];
@@ -2561,14 +2406,9 @@ impl Core {
                     break 'load;
                 }
                 if e.performed() || e.waiting_fill {
-                    // Terminal for this scan until an explicitly hooked event
-                    // (fill arrival, exposure outcome) re-promotes the flag.
-                    self.lq_demote(i);
                     break 'load;
                 }
                 let Some(addr) = e.addr else {
-                    // Address generation re-promotes.
-                    self.lq_demote(i);
                     break 'load;
                 };
                 // Loads younger than an active fence must not issue.
@@ -2656,7 +2496,6 @@ impl Core {
                     self.tracer.emit(EventKind::IssueLoad { seq, line, l1_hit });
                     self.perform_load(i, v, false, None, now, false);
                     self.lq[i].invisible = true;
-                    self.lq_sync(i);
                     if let Some(d) = self.rob_entry_mut(seq) {
                         // Override the L1-hit deadline `perform_load` set
                         // with the invisible access's latency. The heap
@@ -2695,13 +2534,6 @@ impl Core {
                                 l1_hit: false,
                             });
                             self.lq[i].waiting_fill = true;
-                            if self.governor.mode() == PinMode::Late
-                                && self.lq[i].pin == PinState::Unpinned
-                                && status.mcv_clear
-                                && !status.clear_except_mcv()
-                            {
-                                // unreachable in practice; placeholder branch
-                            }
                             // Late Pinning: if this load issued under pin
                             // eligibility (not merely as the oldest load),
                             // mark it pin-pending so arrival pins it.
@@ -2711,7 +2543,6 @@ impl Core {
                                 && self.pin_eligible_base(i, &aggr)
                             {
                                 self.lq[i].pin = PinState::Pending;
-                                self.lq_sync(i);
                                 self.tracer.emit(EventKind::PinPending { seq, line });
                             }
                             if primary {
@@ -2788,7 +2619,6 @@ impl Core {
         if current == bound {
             self.lq[i].invisible = false;
             self.lq[i].exposing = false;
-            self.lq_sync(i);
             self.stats.incr_id(self.ids.loads_validated);
         } else {
             let pc = self.rob_entry(seq).expect("load in ROB").pc;
@@ -2843,7 +2673,6 @@ impl Core {
         e.forwarded_from = forwarded_from;
         e.waiting_fill = false;
         let seq = e.seq;
-        self.lq_sync(i);
         self.stats.incr_id(self.ids.loads_performed);
         if forwarded {
             self.stats.incr_id(self.ids.loads_forwarded);
@@ -2876,9 +2705,6 @@ impl Core {
             return;
         }
         self.lq[i].waiting_fill = false;
-        // Even if forwarding below finds a store still missing its data,
-        // the load re-enters the issue pass's per-cycle retry.
-        self.lq_promote(i);
         let addr = self.lq[i].addr.expect("waiting load has an address");
         let word = addr.raw() >> 3;
         // An older store may have resolved while the fill was in flight;
@@ -3020,58 +2846,6 @@ impl Core {
         debug_assert!(false, "parked entry missing from its producer's chain");
     }
 
-    /// Promotes LQ entry `i` for examination by the load-issue scan.
-    fn lq_promote(&mut self, i: usize) {
-        if self.lq_flags[i] != LQ_VISIT {
-            self.lq_flags[i] = LQ_VISIT;
-            self.lq_visit_count += 1;
-        }
-    }
-
-    /// Demotes LQ entry `i`: the load-issue scan proved it will no-op on
-    /// the entry until an explicitly hooked event re-promotes it.
-    fn lq_demote(&mut self, i: usize) {
-        debug_assert_eq!(self.lq_flags[i], LQ_VISIT);
-        self.lq_flags[i] = LQ_SKIP;
-        self.lq_visit_count -= 1;
-    }
-
-    /// Re-derives LQ entry `i`'s SoA mirror columns after any mutation of
-    /// the fields they pack (address, performed, forwarded, invisible,
-    /// pin). Every `LqEntry` mutation site calls this.
-    fn lq_sync(&mut self, i: usize) {
-        let e = &self.lq[i];
-        self.lq_words[i] = e.addr.map_or(LQ_NO_WORD, |a| a.raw() >> 3);
-        self.lq_status[i] = lq_status_of(e);
-    }
-
-    /// Debug oracle: every `LQ_SKIP` entry must satisfy a skip condition
-    /// of the load-issue scan (no stats, no side effects), so skipping it
-    /// is indistinguishable from visiting it. `LQ_VISIT` may be stale the
-    /// other way (a visit that no-ops and demotes) — that is harmless.
-    /// Also checks the maintained visit count against a recount.
-    fn lq_flags_consistent(&self) -> bool {
-        self.lq_flags.len() == self.lq.len()
-            && self.lq_visit_count == self.lq_flags.iter().filter(|&&f| f == LQ_VISIT).count()
-            && self.lq.iter().zip(self.lq_flags.iter()).all(|(e, &f)| {
-                f == LQ_VISIT
-                    || e.addr.is_none()
-                    || e.waiting_fill
-                    || (e.performed() && (!e.invisible || e.exposing))
-            })
-    }
-
-    /// Debug oracle: the SoA mirror columns must equal a re-derivation
-    /// from the LQ entries themselves.
-    fn lq_soa_consistent(&self) -> bool {
-        self.lq_words.len() == self.lq.len()
-            && self.lq_status.len() == self.lq.len()
-            && self.lq.iter().enumerate().all(|(i, e)| {
-                self.lq_words[i] == e.addr.map_or(LQ_NO_WORD, |a| a.raw() >> 3)
-                    && self.lq_status[i] == lq_status_of(e)
-            })
-    }
-
     /// Debug oracle: checks the flag mirror against the ROB. `ISSUE_SKIP`
     /// exactly covers entries the issue pass can never act on again, and
     /// a parked entry always names a live, incomplete producer (its wake
@@ -3179,12 +2953,6 @@ impl Core {
             if f.inst.is_load() && !f.inst.is_atomic() {
                 let lq_id = self.governor.alloc_lq_id();
                 self.lq.push(LqEntry::new(seq, lq_id));
-                // No address yet: the load-issue pass would skip it;
-                // address generation promotes the flag.
-                self.lq_flags.push_back(LQ_SKIP);
-                // Fresh entry: no address, no status bits set.
-                self.lq_words.push(LQ_NO_WORD);
-                self.lq_status.push(0);
             }
             if matches!(f.inst, Inst::Store { .. }) {
                 self.sq.push(SqEntry::new(seq));
@@ -3326,16 +3094,6 @@ impl Core {
             "a pinned load is being squashed"
         );
         self.lq.retain(|e| e.seq < first_bad);
-        // The LQ is seq-sorted, so the retain removed a suffix; the
-        // flag and SoA mirrors shrink in lockstep.
-        for &f in self.lq_flags.iter().skip(self.lq.len()) {
-            if f == LQ_VISIT {
-                self.lq_visit_count -= 1;
-            }
-        }
-        self.lq_flags.truncate(self.lq.len());
-        self.lq_words.truncate(self.lq.len());
-        self.lq_status.truncate(self.lq.len());
         self.sq.retain(|e| e.seq < first_bad);
         // Back-purge the sorted candidate queue: a squash rewinds
         // `next_seq`, so a reused seq must never alias a stale entry.
@@ -3713,10 +3471,6 @@ impl Core {
             agg_store,
             issue_flags,
             issue_queue,
-            lq_flags,
-            lq_visit_count,
-            lq_words,
-            lq_status,
         } = base;
         *fetch_pc == probe.fetch_pc
             && *fetch_halted == probe.fetch_halted
@@ -3751,10 +3505,6 @@ impl Core {
             && *agg_store == probe.agg_store
             && *issue_flags == probe.issue_flags
             && *issue_queue == probe.issue_queue
-            && *lq_flags == probe.lq_flags
-            && *lq_visit_count == probe.lq_visit_count
-            && *lq_words == probe.lq_words
-            && *lq_status == probe.lq_status
     }
 }
 

@@ -9,19 +9,14 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 # The benchmark (perf/, a workspace of its own) builds against the
-# simulator's public API; its tests catch a change that breaks it.
+# simulator's public API; its tests catch a change that breaks it and
+# drive `run --smoke`, which checks committed state and output digests.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Perf lints are advisory (warn, not deny): surface regressions in the
 # simulator kernel's hot loops without blocking unrelated changes.
 cargo clippy --workspace --all-targets -- -W clippy::perf
 cargo fmt --check
-# Kernel-throughput smoke: one spec and one par job end to end, plus the
-# regression guard — fails if any par job drops >20% below the committed
-# pre-event-driven baseline (a noise-immune floor: the event-driven
-# machine must never be slower than the old tick-everything loop).
-cargo run --release -q -p pl-bench --bin kernel_bench -- --smoke \
-  --baseline results/BENCH_kernel_baseline.json --out /dev/null
 # Runtime invariant checker + differential oracle + fault injection.
 cargo run --release -q -p pl-verify -- --smoke
 # Attack-suite smoke: every gadget x scheme point of the leakage sweep

@@ -3,7 +3,9 @@
 //! The figure harnesses and the paper-comparison in `EXPERIMENTS.md`
 //! depend on this.
 
+use pinned_loads::base::digest::Fnv1a;
 use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig};
+use pinned_loads::bench::sweep::par_map;
 use pinned_loads::machine::{Machine, RunResult};
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
 
@@ -70,6 +72,108 @@ fn multicore_runs_are_bit_identical() {
             assert_identical(&cfg, w);
         }
     }
+}
+
+/// The configurations the golden table pins, in column order. Between
+/// them they cover every scheme's issue rules, both pinning modes, the
+/// invisible bit, and the oldest-load exemption that `conservative_tso`
+/// removes.
+fn golden_configs(cores: usize) -> Vec<MachineConfig> {
+    use DefenseScheme::*;
+    use PinMode::*;
+    let points = [
+        (Unsafe, Off, false),
+        (Fence, Early, false),
+        (Dom, Late, false),
+        (Stt, Off, false),
+        (Invisible, Off, false),
+        (Fence, Late, true),
+    ];
+    points
+        .into_iter()
+        .map(|(scheme, mode, conservative)| {
+            let mut cfg = if cores == 1 {
+                MachineConfig::default_single_core()
+            } else {
+                MachineConfig::default_multi_core(cores)
+            };
+            cfg.defense = scheme;
+            cfg.pinned_loads = PinnedLoadsConfig::with_mode(mode);
+            cfg.core.conservative_tso = conservative;
+            cfg
+        })
+        .collect()
+}
+
+/// Per workload: cycles under each of [`golden_configs`], then one FNV
+/// digest of every run's `retired_per_core` and full statistics.
+type GoldenRow = (&'static str, [u64; 6], u64);
+
+/// Absolute timing of a small matrix, so a change that shifts a single
+/// cycle anywhere in the pipeline fails tier-1 rather than only the
+/// benchmark digest. Regenerate only for an intended timing change, and
+/// say so in the commit.
+#[rustfmt::skip]
+const GOLDEN: &[GoldenRow] = &[
+    ("stream", [7668, 8294, 61211, 7668, 61815, 61810], 0xf0fde9e3308a32bc),
+    ("chase_cold", [232198, 240366, 239922, 232198, 426938, 240366], 0x38b51b07ce57c032),
+    ("chase_hot", [22596, 32190, 22840, 22596, 23328, 32190], 0x2c7b4c4c3eac588c),
+    ("branch_random", [8987, 11715, 11112, 8987, 11329, 11715], 0x9e9a2cbb68f47470),
+    ("alu_dense", [3206, 3206, 3206, 3206, 3206, 3206], 0xe622227f15208581),
+    ("gather", [3333, 4542, 25027, 25899, 26673, 27436], 0x455574268a85fa4c),
+    ("stencil_rw", [1111, 1111, 1111, 1111, 1117, 1111], 0x32473cdaa06a1974),
+    ("hot_reuse", [1962, 1978, 5364, 1962, 5866, 5860], 0x73f27787f941a1b3),
+    ("write_burst", [31207, 31207, 31207, 31207, 31207, 31207], 0x91ff56f3f3c01494),
+    ("call_tree", [710, 711, 711, 710, 716, 711], 0x150bf2793bb385fd),
+    ("chase_branchy", [151117, 181688, 170202, 167174, 427650, 181688], 0x9e6e9628b9b3fbb1),
+    ("mixed", [2136, 4955, 6757, 2843, 7393, 11113], 0xaaab2021867103a5),
+    ("matrix_block", [1023, 1023, 1025, 1023, 1171, 1174], 0x14a4f9aaff23238b),
+    ("byte_scan", [5257, 14441, 11591, 5257, 10840, 14441], 0xc2831b0bc4b742d0),
+    ("random_rw", [1944, 2450, 12636, 1944, 24102, 24104], 0x121447618bbb2731),
+    ("reduction", [9469, 9532, 15907, 9469, 17182, 17177], 0xbf67e3111bcb4a10),
+    ("lock_counter", [535, 535, 535, 535, 535, 535], 0xf4f9d6e49c3529c1),
+    ("spin_relay", [120728, 121344, 120728, 120728, 120797, 121228], 0x62e003caa937d28c),
+];
+
+#[test]
+fn golden_cycles_and_stats_are_pinned() {
+    let par = parallel_suite(4, Scale::Test);
+    let par = par
+        .iter()
+        .filter(|w| ["lock_counter", "spin_relay"].contains(&w.name.as_str()));
+    let jobs: Vec<_> = spec_suite(Scale::Test)
+        .into_iter()
+        .map(|w| (1, w))
+        .chain(par.map(|w| (4, w.clone())))
+        .flat_map(|(cores, w)| {
+            golden_configs(cores)
+                .into_iter()
+                .map(move |c| (w.clone(), c))
+        })
+        .collect();
+    let runs = par_map(2, &jobs, |_, (w, cfg)| run_once(cfg, w));
+    let got: Vec<String> = jobs
+        .chunks(6)
+        .zip(runs.chunks(6))
+        .map(|(j, r)| {
+            let mut h = Fnv1a::new();
+            for run in r {
+                run.retired_per_core.iter().for_each(|&n| h.write_u64(n));
+                h.write_str(&run.stats.to_string());
+            }
+            let cycles: Vec<u64> = r.iter().map(|run| run.cycles).collect();
+            format!("(\"{}\", {:?}, {:#018x}),", j[0].0.name, cycles, h.finish())
+        })
+        .collect();
+    let want: Vec<String> = GOLDEN
+        .iter()
+        .map(|(name, cycles, digest)| format!("(\"{name}\", {cycles:?}, {digest:#018x}),"))
+        .collect();
+    assert!(
+        got == want,
+        "golden timing moved; measured table:\n    {}",
+        got.join("\n    ")
+    );
 }
 
 #[test]
