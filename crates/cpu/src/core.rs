@@ -29,7 +29,7 @@ use pl_mem::{
 };
 use pl_predictor::BranchPredictor;
 use pl_secure::scheme::LoadContext;
-use pl_secure::{IssuePolicy, PinGovernor, PinState, TaintTracker, VpMask, VpStatus};
+use pl_secure::{IssuePolicy, PinGovernor, PinState, VpMask, VpStatus};
 use pl_trace::{EventKind, TraceSource, Tracer};
 
 use crate::dyninst::{DynInst, LqEntry, PredInfo, SqEntry, SrcList, Stage};
@@ -221,7 +221,12 @@ pub struct Core {
     read_retries: Vec<(Cycle, LineAddr)>,
 
     governor: PinGovernor,
-    taint: TaintTracker,
+    /// STT: some input of the ROB's taint bits changed since the last
+    /// propagation pass (a load was marked or cleared, an entry was
+    /// dispatched, or a tainted entry retired), so the next pass must
+    /// re-derive them. While it is clear, every non-load's bit already
+    /// equals the OR of its in-ROB producers' bits.
+    taint_dirty: bool,
     atomic: AtomicTxn,
 
     arch_call_stack: Vec<Pc>,
@@ -339,7 +344,7 @@ impl Core {
             pending_installs: Vec::new(),
             read_retries: Vec::new(),
             governor,
-            taint: TaintTracker::new(),
+            taint_dirty: false,
             atomic: AtomicTxn::default(),
             arch_call_stack: Vec::new(),
             aggr: Aggregates::default(),
@@ -1327,6 +1332,7 @@ impl Core {
             let pc = head.pc;
             let result = head.result;
             let head_dispatched = head.dispatched_at;
+            let tainted = head.tainted;
 
             // Stores move to the write buffer at retirement (TSO).
             if matches!(inst, Inst::Store { .. }) {
@@ -1391,7 +1397,9 @@ impl Core {
                     self.rename[dst.index()] = None;
                 }
             }
-            self.taint.clear(seq);
+            // Consumers of a retired producer read its value as
+            // architectural, hence untainted.
+            self.taint_dirty |= tainted;
             self.rob.pop_front();
             self.issue_flags.pop_front();
             self.retired += 1;
@@ -1582,36 +1590,57 @@ impl Core {
 
     // ---- taint propagation (STT) ----
 
+    /// Re-derives the non-load taint bits if an input changed, then
+    /// clears the bits of performed loads that reached their VP. The
+    /// untaint scan runs every cycle: a VP arrives without any taint
+    /// input changing.
     fn propagate_taint(&mut self) -> bool {
+        debug_assert!(
+            self.taint_dirty || self.taint_closed(),
+            "a taint input changed without setting taint_dirty"
+        );
         let mut changed = false;
-        // Walk in program order: producers precede consumers, so one pass
-        // reaches a fixed point.
-        {
-            let rob = &self.rob;
-            let taint = &mut self.taint;
-            for e in rob.iter() {
+        if std::mem::take(&mut self.taint_dirty) {
+            // Walk in program order: producers precede consumers, so one
+            // pass reaches a fixed point.
+            for i in 0..self.rob.len() {
+                let e = &self.rob[i];
                 if e.inst.is_load() {
                     // A load's own taint is managed at perform/VP time.
                     continue;
                 }
-                changed |= taint
-                    .derive_changed(e.seq, e.srcs.iter().filter_map(|&(_, p)| p))
-                    .1;
+                let t = srcs_tainted(&self.rob, &e.srcs);
+                if t != e.tainted {
+                    self.rob[i].tainted = t;
+                    changed = true;
+                }
             }
         }
         // Untaint loads that have reached their VP.
         let aggr = self.aggr;
         for i in 0..self.lq.len() {
-            let e = &self.lq[i];
-            if e.performed() && self.taint.is_tainted(e.seq) {
+            let seq = self.lq[i].seq;
+            if self.lq[i].performed() && self.rob_entry(seq).is_some_and(|d| d.tainted) {
                 let status = self.vp_status_for(i, &aggr);
                 if self.vp_mask.reached(status) {
-                    self.taint.clear(e.seq);
+                    let d = self.rob_entry_mut(seq).expect("checked above");
+                    d.tainted = false;
+                    self.taint_dirty = true;
                     changed = true;
                 }
             }
         }
         changed
+    }
+
+    /// The closure invariant that makes skipping a clean pass exact
+    /// (debug-build oracle for [`Core::propagate_taint`], in the style of
+    /// [`Core::aggregates_reference`]): every non-load's taint bit equals
+    /// the OR of its in-ROB producers' bits.
+    fn taint_closed(&self) -> bool {
+        self.rob
+            .iter()
+            .all(|e| e.inst.is_load() || e.tainted == srcs_tainted(&self.rob, &e.srcs))
     }
 
     // ---- pinning ----
@@ -2419,10 +2448,9 @@ impl Core {
                 let status = self.vp_status_for(i, &aggr);
                 let vp_reached = self.vp_mask.reached(status);
                 let tainted = self.policy.tracks_taint()
-                    && self.rob_entry(seq).is_some_and(|d| {
-                        self.taint
-                            .any_tainted(d.srcs.iter().filter_map(|&(_, p)| p))
-                    });
+                    && self
+                        .rob_entry(seq)
+                        .is_some_and(|d| srcs_tainted(&self.rob, &d.srcs));
                 // Only Delay-On-Miss consults residency to *decide*; for
                 // every other scheme the probe is deferred past the issue
                 // decision, so a blocked load polling here each cycle
@@ -2677,12 +2705,12 @@ impl Core {
         if forwarded {
             self.stats.incr_id(self.ids.loads_forwarded);
         }
-        if self.policy.tracks_taint() && pre_vp {
-            self.taint.mark(seq);
-        }
+        let taint = self.policy.tracks_taint() && pre_vp;
+        self.taint_dirty |= taint;
         self.tracer
             .emit(EventKind::LoadPerformed { seq, forwarded });
         if let Some(d) = self.rob_entry_mut(seq) {
+            d.tainted |= taint;
             d.result = Some(value);
             d.stage = Stage::Executing {
                 done_at: now + hit_latency,
@@ -2977,6 +3005,7 @@ impl Core {
                 issue_blocked_on: None,
                 first_waiter: None,
                 next_waiter: None,
+                tainted: false,
             });
             if f.inst.is_atomic() {
                 self.issue_flags.push_back(ISSUE_SKIP);
@@ -3000,6 +3029,8 @@ impl Core {
             }
             active = true;
         }
+        // New entries start untainted; the next pass derives their bits.
+        self.taint_dirty |= active;
         active
     }
 
@@ -3114,7 +3145,6 @@ impl Core {
             }
         }
         self.mshrs.squash_younger(first_bad);
-        self.taint.squash_younger(first_bad);
         self.next_seq = first_bad;
         self.fetch_buf.clear();
         self.fetch_pc = refetch;
@@ -3406,7 +3436,6 @@ impl Core {
         sopt(&mut self.aggr.oldest_unknown_store_addr);
         sopt(&mut self.aggr.oldest_unknown_mem_addr);
         sopt(&mut self.aggr.oldest_active_fence);
-        self.taint.spin_shift(dseq);
         self.governor.spin_advance_lq_ids(dlqid);
     }
 
@@ -3447,7 +3476,7 @@ impl Core {
             pending_installs,
             read_retries,
             governor,
-            taint,
+            taint_dirty,
             atomic,
             arch_call_stack,
             aggr,
@@ -3490,7 +3519,7 @@ impl Core {
             && *pending_installs == probe.pending_installs
             && *read_retries == probe.read_retries
             && governor.spin_state_eq(&probe.governor)
-            && *taint == probe.taint
+            && *taint_dirty == probe.taint_dirty
             && *atomic == probe.atomic
             && *arch_call_stack == probe.arch_call_stack
             && *aggr == probe.aggr
@@ -3506,6 +3535,18 @@ impl Core {
             && *issue_flags == probe.issue_flags
             && *issue_queue == probe.issue_queue
     }
+}
+
+/// STT: whether any of `srcs` comes from a tainted producer still in
+/// `rob`. The ROB is seq-dense, so a producer older than its head has
+/// retired, and its architectural value is untainted.
+fn srcs_tainted(rob: &VecDeque<DynInst>, srcs: &SrcList) -> bool {
+    let Some(head) = rob.front().map(|e| e.seq) else {
+        return false;
+    };
+    srcs.iter().any(|&(_, p)| {
+        p.is_some_and(|p| p >= head && rob.get((p.0 - head.0) as usize).is_some_and(|d| d.tainted))
+    })
 }
 
 /// Dense-seq ROB lookup usable while another field of `Core` is borrowed.

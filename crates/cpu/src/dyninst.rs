@@ -121,6 +121,11 @@ pub struct DynInst {
     /// Next link in the waiter chain this entry is parked on
     /// (single-membership: an entry waits on at most one producer).
     pub next_waiter: Option<SeqNum>,
+    /// STT: this entry's value is tainted. A load is marked when it
+    /// performs before its VP and cleared once it reaches the VP; any
+    /// other entry holds the OR of its in-ROB producers' bits. Always
+    /// `false` under every other scheme.
+    pub tainted: bool,
 }
 
 impl DynInst {
@@ -307,6 +312,7 @@ mod tests {
             issue_blocked_on: None,
             first_waiter: None,
             next_waiter: None,
+            tainted: false,
         };
         assert!(!d.completed() && !d.executing());
         d.stage = Stage::Executing { done_at: Cycle(3) };

@@ -2,8 +2,9 @@
 //!
 //! This crate provides [`Core`], a cycle-level out-of-order pipeline with
 //! the Table 1 parameters, TSO memory ordering, the Comprehensive threat
-//! model's four squash sources, the Fence/DOM/STT defense schemes, and
-//! both Pinned Loads designs (Late and Early Pinning).
+//! model's four squash sources, the Fence/DOM/STT defense schemes (with
+//! STT's taint tracking, one bit per ROB entry), and both Pinned Loads
+//! designs (Late and Early Pinning).
 //!
 //! A `Core` owns its private L1 and talks to the shared memory system
 //! purely through coherence messages; the `pl-machine` crate wires cores,

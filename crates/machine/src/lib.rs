@@ -639,8 +639,8 @@ impl Machine {
     /// Runs until every core halts and drains, up to `max_cycles`.
     ///
     /// With `cfg.fast_forward` set (the default) this uses the
-    /// event-driven scheduled loop ([`Machine::run_scheduled`]); without
-    /// it, the naive reference loop that ticks every component every
+    /// event-driven scheduled loop (INTERNALS.md §11); without it, the
+    /// naive reference loop that ticks every component every
     /// cycle. Both are bit-identical — cycles, stats, traces, deadlock
     /// diagnoses — which `tests/ff_equivalence.rs` locks in.
     ///

@@ -8,8 +8,8 @@
 //!   about, and which a given load has cleared (Sections 1–3). Figure 1's
 //!   cumulative release points are just partial masks.
 //! * [`scheme`] — the issue policies of Table 2: Fence, Delay-On-Miss, and
-//!   STT, plus the unsafe baseline.
-//! * [`TaintTracker`] — the taint propagation STT needs.
+//!   STT, plus the unsafe baseline. STT's taint is pipeline state, so
+//!   `pl-cpu` tracks it, as one bit per ROB entry.
 //! * [`Cst`] — the Cache Shadow Table of Section 6.2 (Early Pinning).
 //! * [`Cpt`] — the Cannot-Pin Table of Section 6.3.
 //! * [`PinGovernor`] — per-core pinning bookkeeping shared by Late and
@@ -24,12 +24,10 @@ pub mod cst;
 pub mod hw_cost;
 pub mod pin;
 pub mod scheme;
-pub mod taint;
 pub mod vp;
 
 pub use cpt::Cpt;
 pub use cst::{Cst, CstOutcome};
 pub use pin::{PinGovernor, PinState};
 pub use scheme::IssuePolicy;
-pub use taint::TaintTracker;
 pub use vp::{VpMask, VpStatus};

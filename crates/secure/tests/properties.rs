@@ -2,7 +2,7 @@
 //! `pl-test` harness.
 
 use pl_base::{Addr, LineAddr};
-use pl_secure::{Cpt, Cst, TaintTracker};
+use pl_secure::{Cpt, Cst};
 use pl_test::{any_bool, check, prop_assert, prop_assert_eq, u64_in, usize_in, vec_of};
 use std::collections::{HashMap, HashSet};
 
@@ -102,31 +102,6 @@ fn cpt_tracks_model() {
                     prop_assert_eq!(cpt.contains(line(probe)), model.contains(&probe));
                 }
             }
-            Ok(())
-        },
-    );
-}
-
-/// Taint propagation is monotone along dependence chains: if any source
-/// is tainted, `derive` taints the consumer; once all sources clear,
-/// re-derivation clears the consumer.
-#[test]
-fn taint_chains_clear_exactly() {
-    check(
-        "taint_chains_clear_exactly",
-        &usize_in(1..20),
-        |&chain_len| {
-            use pl_base::SeqNum;
-            let mut t = TaintTracker::new();
-            t.mark(SeqNum(0));
-            for i in 1..=chain_len as u64 {
-                prop_assert!(t.derive(SeqNum(i), [SeqNum(i - 1)]));
-            }
-            t.clear(SeqNum(0));
-            for i in 1..=chain_len as u64 {
-                prop_assert!(!t.derive(SeqNum(i), [SeqNum(i - 1)]));
-            }
-            prop_assert!(t.is_empty());
             Ok(())
         },
     );

@@ -17,6 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # simulator kernel's hot loops without blocking unrelated changes.
 cargo clippy --workspace --all-targets -- -W clippy::perf
 cargo fmt --check
+# Public docs build warning-free, so an intra-doc link to a renamed or
+# deleted item fails here instead of dangling.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # Runtime invariant checker + differential oracle + fault injection.
 cargo run --release -q -p pl-verify -- --smoke
 # Attack-suite smoke: every gadget x scheme point of the leakage sweep
@@ -47,7 +50,9 @@ unset SERVE_PID
 # in the pipeline/protocol run against the full scheme matrix. The
 # ff_equivalence spin_parking filter re-proves the spin-parking twins
 # bit-identical with every debug_assert! in the park/replay path armed.
-cargo test -q --profile checked --test protocol_invariants --test verify_checker
+# The golden table runs there too, so the debug oracles (STT's taint
+# closure among them) see its 4-core lock_counter and spin_relay jobs.
+cargo test -q --profile checked --test protocol_invariants --test verify_checker --test determinism
 cargo test -q --profile checked --test ff_equivalence spin_parking
 # The attack suite under debug assertions: non-vacuity, mitigation
 # direction, and sweep determinism with the transient-shadow and

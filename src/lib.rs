@@ -17,11 +17,11 @@
 //! | [`isa`] | `pl-isa` | the RISC-style ISA and program builder |
 //! | [`predictor`] | `pl-predictor` | TAGE + loop predictor, BTB, RAS |
 //! | [`mem`] | `pl-mem` | caches, MSHRs, write buffer, NoC, directory MESI with the Defer/Abort + GetX*/Inv*/Clear extensions |
-//! | [`secure`] | `pl-secure` | VP masks, defense policies, taint tracking, CST, CPT, pin governor |
-//! | [`cpu`] | `pl-cpu` | the out-of-order pipeline |
+//! | [`secure`] | `pl-secure` | VP masks, defense policies, CST, CPT, pin governor |
+//! | [`cpu`] | `pl-cpu` | the out-of-order pipeline, with STT taint tracking |
 //! | [`machine`] | `pl-machine` | the assembled multicore machine |
 //! | [`workloads`] | `pl-workloads` | SPEC17-like and SPLASH2/PARSEC-like kernels |
-//! | [`bench`] | `pl-bench` | sweep fan-out, baseline cache, and the `plsim serve` job server with its content-addressed result cache |
+//! | [`mod@bench`] | `pl-bench` | sweep fan-out, baseline cache, and the `plsim serve` job server with its content-addressed result cache |
 //!
 //! # Quickstart
 //!
