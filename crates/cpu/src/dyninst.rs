@@ -133,11 +133,6 @@ impl DynInst {
     pub fn completed(&self) -> bool {
         self.stage == Stage::Completed
     }
-
-    /// Returns `true` while the instruction occupies a functional unit.
-    pub fn executing(&self) -> bool {
-        matches!(self.stage, Stage::Executing { .. })
-    }
 }
 
 /// One load-queue entry.
@@ -314,9 +309,9 @@ mod tests {
             next_waiter: None,
             tainted: false,
         };
-        assert!(!d.completed() && !d.executing());
+        assert!(!d.completed());
         d.stage = Stage::Executing { done_at: Cycle(3) };
-        assert!(d.executing());
+        assert!(!d.completed());
         d.stage = Stage::Completed;
         assert!(d.completed());
     }

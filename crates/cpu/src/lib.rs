@@ -8,18 +8,21 @@
 //!
 //! A `Core` owns its private L1 and talks to the shared memory system
 //! purely through coherence messages; the `pl-machine` crate wires cores,
-//! the NoC, and the LLC slices together. Unit tests here exercise the
-//! pipeline with memory-free programs; cross-component behavior is tested
-//! in `pl-machine` and the workspace integration tests.
+//! the NoC, and the LLC slices together. The [`core`] module is split into
+//! one `impl Core` file per decision (frontend, issue, LSQ, VP and pin
+//! pass, coherence, the write transaction, commit, spin parking), and its
+//! `scheme` file holds everything a defense scheme does inside the core.
+//! Unit tests here exercise the pipeline with memory-free programs;
+//! cross-component behavior is tested in `pl-machine` and the workspace
+//! integration tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod core;
-pub mod dyninst;
+mod dyninst;
 
 pub use crate::core::{Core, SpinDelta, OCC_SAMPLE_PERIOD};
-pub use dyninst::{DynInst, LqEntry, PredInfo, SqEntry, Stage};
 
 #[cfg(test)]
 mod tests {

@@ -72,13 +72,18 @@ fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
         Some(rest) => (true, rest),
         None => (false, tok),
     };
-    let value = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
+    // The magnitude is unsigned: `i64::MIN`'s does not fit an `i64`.
+    let magnitude = if let Some(hex) = body.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16)
     } else {
         body.parse()
-    }
-    .map_err(|_| err(line, format!("bad immediate `{tok}`")))?;
-    Ok(if neg { -value } else { value })
+    };
+    let value = match magnitude {
+        Ok(m) if neg => 0i64.checked_sub_unsigned(m),
+        Ok(m) => i64::try_from(m).ok(),
+        Err(_) => None,
+    };
+    value.ok_or_else(|| err(line, format!("bad immediate `{tok}`")))
 }
 
 /// Parses `offset(base)` memory-operand syntax.
@@ -147,13 +152,16 @@ fn branch_cond_of(mnemonic: &str) -> Option<BranchCond> {
 /// ```
 pub fn parse_asm(source: &str) -> Result<Program, AsmError> {
     let mut b = ProgramBuilder::new();
-    let mut labels: HashMap<String, Label> = HashMap::new();
+    // Each label with the line that first names it: for a label that is
+    // never bound, the line of its first use.
+    let mut labels: HashMap<String, (Label, usize)> = HashMap::new();
     let mut bound: HashMap<String, usize> = HashMap::new();
 
-    let mut get_label = |b: &mut ProgramBuilder, name: &str| -> Label {
-        *labels
+    let mut get_label = |b: &mut ProgramBuilder, name: &str, line: usize| -> Label {
+        labels
             .entry(name.to_string())
-            .or_insert_with(|| b.new_label())
+            .or_insert_with(|| (b.new_label(), line))
+            .0
     };
 
     for (i, raw) in source.lines().enumerate() {
@@ -174,7 +182,7 @@ pub fn parse_asm(source: &str) -> Result<Program, AsmError> {
             if bound.insert(name.to_string(), lineno).is_some() {
                 return Err(err(lineno, format!("label `{name}` defined twice")));
             }
-            let l = get_label(&mut b, name);
+            let l = get_label(&mut b, name, lineno);
             b.bind(l).map_err(|e| err(lineno, e.to_string()))?;
             text = rest[1..].trim();
         }
@@ -230,17 +238,17 @@ pub fn parse_asm(source: &str) -> Result<Program, AsmError> {
                 let cond = branch_cond_of(m).expect("checked");
                 let a = parse_reg(ops[0], lineno)?;
                 let c = parse_reg(ops[1], lineno)?;
-                let l = get_label(&mut b, ops[2]);
+                let l = get_label(&mut b, ops[2], lineno);
                 b.branch(cond, a, c, l);
             }
             "j" | "jmp" => {
                 expect(1)?;
-                let l = get_label(&mut b, ops[0]);
+                let l = get_label(&mut b, ops[0], lineno);
                 b.jump(l);
             }
             "call" => {
                 expect(1)?;
-                let l = get_label(&mut b, ops[0]);
+                let l = get_label(&mut b, ops[0], lineno);
                 b.call(l);
             }
             "ret" => {
@@ -277,7 +285,19 @@ pub fn parse_asm(source: &str) -> Result<Program, AsmError> {
             other => return Err(err(lineno, format!("unknown mnemonic `{other}`"))),
         }
     }
-    // Any label used by a branch but never bound surfaces here.
+    // Any label used by a branch but never bound surfaces here, at the
+    // first line that uses it.
+    let unbound = labels
+        .iter()
+        .filter(|(name, _)| !bound.contains_key(*name))
+        .map(|(name, &(_, line))| (line, name))
+        .min();
+    if let Some((line, name)) = unbound {
+        return Err(err(
+            line,
+            format!("label `{name}` was used but never bound"),
+        ));
+    }
     b.build().map_err(|e| err(0, e.to_string()))
 }
 
@@ -440,6 +460,13 @@ start:
     fn unbound_label_rejected() {
         let e = parse_asm("    j nowhere\n").unwrap_err();
         assert!(e.message.contains("never bound"));
+        // The error names the label and the first line that uses it.
+        let e = parse_asm("    nop\n    beq x1, x0, later\nlater:\n    call fin\n    j fin\n")
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 4: label `fin` was used but never bound"
+        );
     }
 
     #[test]
@@ -455,6 +482,8 @@ loop:
     halt
 fin:
     st x2, 0(x1)
+    addi x4, x0, -9223372036854775808
+    ld x5, -9223372036854775808(x4)
     ret
 ";
         let p = parse_asm(src).unwrap();

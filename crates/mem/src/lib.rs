@@ -42,7 +42,7 @@ pub use memory::Memory;
 pub use msg::{DataGrant, Msg, NodeId};
 pub use mshr::{MshrError, MshrFile};
 pub use noc::Noc;
-pub use write_buffer::{WbEntry, WbState, WriteBuffer};
+pub use write_buffer::{WbEntry, WriteBuffer};
 
 use pl_base::{CoreId, LineAddr};
 

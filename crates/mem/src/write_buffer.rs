@@ -6,22 +6,9 @@
 //! only be pinned if every yet-to-complete older store fits in the buffer,
 //! otherwise the deadlock of Figure 4 becomes possible (Section 5.1.2).
 
-use pl_base::{Addr, CircQueue, Cycle, LineAddr};
+use pl_base::{Addr, CircQueue, LineAddr};
 use std::error::Error;
 use std::fmt;
-
-/// Progress state of the head write-buffer entry's coherence transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WbState {
-    /// No transaction in flight yet.
-    #[default]
-    Idle,
-    /// A `GetX` (or `GetX*`) is in flight; awaiting data/acks.
-    Requested,
-    /// The write was deferred by a pinned sharer or nacked; it will retry
-    /// at the recorded cycle.
-    WaitingRetry,
-}
 
 /// One retired store awaiting merge into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,19 +17,6 @@ pub struct WbEntry {
     pub addr: Addr,
     /// Value to write.
     pub value: u64,
-    /// Transaction progress.
-    pub state: WbState,
-    /// `true` once a previous attempt was deferred: the retry must use
-    /// `GetX*` (Section 5.1.5).
-    pub use_star: bool,
-    /// Earliest cycle at which a `WaitingRetry` entry may re-issue.
-    pub retry_at: Cycle,
-    /// Invalidation responses still outstanding for the current attempt.
-    pub acks_pending: usize,
-    /// `true` if any response so far was a defer.
-    pub saw_defer: bool,
-    /// `true` once the data/permission response arrived.
-    pub have_data: bool,
 }
 
 impl WbEntry {
@@ -67,8 +41,8 @@ impl Error for WbFull {}
 
 /// A FIFO write buffer.
 ///
-/// Only the head entry may have a coherence transaction in flight,
-/// enforcing TSO's store→store ordering.
+/// Only the head entry may have a coherence transaction in flight (the
+/// core tracks it), enforcing TSO's store→store ordering.
 ///
 /// # Examples
 ///
@@ -106,27 +80,14 @@ impl WriteBuffer {
     /// Returns [`WbFull`] if the buffer is full; the caller must stall
     /// retirement.
     pub fn push(&mut self, addr: Addr, value: u64) -> Result<(), WbFull> {
-        let entry = WbEntry {
-            addr,
-            value,
-            state: WbState::Idle,
-            use_star: false,
-            retry_at: Cycle::ZERO,
-            acks_pending: 0,
-            saw_defer: false,
-            have_data: false,
-        };
-        self.entries.push_back(entry).map_err(|_| WbFull)
+        self.entries
+            .push_back(WbEntry { addr, value })
+            .map_err(|_| WbFull)
     }
 
     /// The oldest entry, if any.
     pub fn head(&self) -> Option<&WbEntry> {
         self.entries.front()
-    }
-
-    /// Mutable access to the oldest entry.
-    pub fn head_mut(&mut self) -> Option<&mut WbEntry> {
-        self.entries.front_mut()
     }
 
     /// Removes the oldest entry after its write merged into the cache.
@@ -214,22 +175,5 @@ mod tests {
         wb.push(Addr::new(0x100), 1).unwrap();
         assert!(wb.has_line(Addr::new(0x13f).line()));
         assert!(!wb.has_line(Addr::new(0x140).line()));
-    }
-
-    #[test]
-    fn head_state_machine_fields_are_mutable() {
-        let mut wb = WriteBuffer::new(1);
-        wb.push(Addr::new(0x40), 9).unwrap();
-        {
-            let head = wb.head_mut().unwrap();
-            head.state = WbState::Requested;
-            head.acks_pending = 2;
-            head.saw_defer = true;
-            head.use_star = true;
-        }
-        let head = wb.head().unwrap();
-        assert_eq!(head.state, WbState::Requested);
-        assert!(head.use_star);
-        assert_eq!(head.line(), Addr::new(0x40).line());
     }
 }

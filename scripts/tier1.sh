@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 # The benchmark (perf/, a workspace of its own) builds against the
 # simulator's public API; its tests catch a change that breaks it and
 # drive `run --smoke`, which checks committed state and output digests.
