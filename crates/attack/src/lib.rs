@@ -22,8 +22,8 @@
 //!
 //! The [`leakage_sweep`] harness fans gadget x scheme x cores jobs
 //! through the parallel sweep runner and pairs every decode run with a
-//! verify-off companion run (routable through `PL_SWEEP_SERVER`) for
-//! the slowdown axis of the leakage-vs-slowdown scatter.
+//! verify-off companion run for the slowdown axis of the
+//! leakage-vs-slowdown scatter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

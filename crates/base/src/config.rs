@@ -42,22 +42,6 @@ pub enum DefenseScheme {
 }
 
 impl DefenseScheme {
-    /// Stable wire/digest code, independent of declaration order.
-    pub fn code(self) -> u8 {
-        match self {
-            DefenseScheme::Unsafe => 0,
-            DefenseScheme::Fence => 1,
-            DefenseScheme::Dom => 2,
-            DefenseScheme::Stt => 3,
-            DefenseScheme::Invisible => 4,
-        }
-    }
-
-    /// Inverse of [`DefenseScheme::code`].
-    pub fn from_code(code: u8) -> Option<DefenseScheme> {
-        DefenseScheme::ALL.into_iter().find(|s| s.code() == code)
-    }
-
     /// All schemes in evaluation order.
     pub const ALL: [DefenseScheme; 5] = [
         DefenseScheme::Unsafe,
@@ -105,25 +89,6 @@ pub enum ThreatModel {
     Spectre,
 }
 
-impl ThreatModel {
-    /// Stable wire/digest code, independent of declaration order.
-    pub fn code(self) -> u8 {
-        match self {
-            ThreatModel::Comprehensive => 0,
-            ThreatModel::Spectre => 1,
-        }
-    }
-
-    /// Inverse of [`ThreatModel::code`].
-    pub fn from_code(code: u8) -> Option<ThreatModel> {
-        match code {
-            0 => Some(ThreatModel::Comprehensive),
-            1 => Some(ThreatModel::Spectre),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for ThreatModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -148,27 +113,6 @@ pub enum PinMode {
     /// Early Pinning: a load may be pinned before issuing to memory, using
     /// the Cache Shadow Table to guarantee space (Section 5.2.2).
     Early,
-}
-
-impl PinMode {
-    /// Stable wire/digest code, independent of declaration order.
-    pub fn code(self) -> u8 {
-        match self {
-            PinMode::Off => 0,
-            PinMode::Late => 1,
-            PinMode::Early => 2,
-        }
-    }
-
-    /// Inverse of [`PinMode::code`].
-    pub fn from_code(code: u8) -> Option<PinMode> {
-        match code {
-            0 => Some(PinMode::Off),
-            1 => Some(PinMode::Late),
-            2 => Some(PinMode::Early),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for PinMode {
@@ -654,99 +598,6 @@ impl MachineConfig {
         };
         format!("{}+{}", self.defense, ext)
     }
-
-    /// Schema tag mixed into [`MachineConfig::digest`]. **Bump this when
-    /// any field is added, removed, or changes meaning** — old cached
-    /// results keyed under the previous schema then simply miss instead
-    /// of colliding.
-    pub const DIGEST_SCHEMA: u64 = 2;
-
-    /// Stable 64-bit content identity of this configuration.
-    ///
-    /// Every field is fed to FNV-1a explicitly, in a fixed order that is
-    /// independent of struct declaration order, `Debug` formatting, and
-    /// enum discriminant values — hashing `format!("{:?}", cfg)` would
-    /// silently re-key the result cache whenever a field was added or
-    /// reordered. The serve layer's content-addressed cache and the
-    /// `PL_SWEEP_SERVER` client both key on this digest (combined with
-    /// the workload digest), so two configs with equal digests must be
-    /// behaviorally identical; the regression test in this module pins
-    /// known values to catch accidental drift.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pl_base::MachineConfig;
-    /// let a = MachineConfig::default_single_core();
-    /// let mut b = MachineConfig::default_single_core();
-    /// assert_eq!(a.digest(), b.digest());
-    /// b.seed ^= 1;
-    /// assert_ne!(a.digest(), b.digest());
-    /// ```
-    pub fn digest(&self) -> u64 {
-        let mut h = crate::digest::Fnv1a::new();
-        h.write_u64(MachineConfig::DIGEST_SCHEMA);
-        h.write_usize(self.num_cores);
-        // Core pipeline.
-        let c = &self.core;
-        h.write_usize(c.issue_width);
-        h.write_usize(c.fetch_width);
-        h.write_usize(c.commit_width);
-        h.write_usize(c.rob_entries);
-        h.write_usize(c.lq_entries);
-        h.write_usize(c.sq_entries);
-        h.write_usize(c.write_buffer_entries);
-        h.write_usize(c.btb_entries);
-        h.write_usize(c.ras_entries);
-        h.write_u64(c.mispredict_penalty);
-        h.write_u64(c.alu_latency);
-        h.write_u64(c.mul_latency);
-        h.write_bool(c.conservative_tso);
-        // Memory hierarchy.
-        let m = &self.mem;
-        for cache in [&m.l1d, &m.llc_slice] {
-            h.write_u64(cache.size_bytes);
-            h.write_usize(cache.ways);
-            h.write_u64(cache.hit_latency);
-            h.write_usize(cache.mshr_entries);
-        }
-        h.write_usize(m.llc_slices);
-        h.write_u64(m.hop_latency);
-        h.write_usize(m.mesh_cols);
-        h.write_usize(m.mesh_rows);
-        h.write_u64(m.dram_latency);
-        h.write_usize(m.prefetch_degree);
-        // Scheme axes.
-        h.write_u8(self.defense.code());
-        h.write_u8(self.threat_model.code());
-        // Pinned Loads structures.
-        let pl = &self.pinned_loads;
-        h.write_u8(pl.mode.code());
-        h.write_usize(pl.cst.l1_entries);
-        h.write_usize(pl.cst.l1_records);
-        h.write_usize(pl.cst.dir_entries);
-        h.write_usize(pl.cst.dir_records);
-        h.write_usize(pl.cst.wd);
-        h.write_usize(pl.cpt.entries);
-        h.write_u32(pl.lq_id_tag_bits);
-        h.write_bool(pl.ideal_cst);
-        h.write_bool(pl.ideal_cpt);
-        // Observability and run-loop knobs. Tracing and fast-forward are
-        // proven result-invisible, but they are still part of the config's
-        // identity: a split key is always safe, a shared key never is.
-        h.write_bool(self.trace.enabled);
-        h.write_usize(self.trace.buffer_capacity);
-        h.write_bool(self.fast_forward);
-        h.write_bool(self.spin_parking);
-        h.write_u64(self.seed);
-        let v = &self.verify;
-        h.write_bool(v.enabled);
-        h.write_u64(v.fault_delay);
-        h.write_u64(v.fault_seed);
-        h.write_u8(v.mutation.code());
-        h.write_u64(v.snapshot_period);
-        h.finish()
-    }
 }
 
 impl Default for MachineConfig {
@@ -976,91 +827,6 @@ mod tests {
         assert_eq!(cfg.label(), "Fence+Comp");
         cfg.pinned_loads.mode = PinMode::Early;
         assert_eq!(cfg.label(), "Fence+EP");
-    }
-
-    /// Pins the digest of well-known configurations. If this test fails
-    /// you changed what [`MachineConfig::digest`] hashes: bump
-    /// [`MachineConfig::DIGEST_SCHEMA`], re-pin these values, and accept
-    /// that existing result caches go cold. Silent drift would instead
-    /// split or (worse) alias cache keys.
-    #[test]
-    fn digest_values_are_pinned() {
-        assert_eq!(
-            MachineConfig::default_single_core().digest(),
-            0x39be_3a9a_60b9_0533,
-        );
-        assert_eq!(
-            MachineConfig::default_multi_core(8).digest(),
-            0x2ac3_1608_1d89_92a9,
-        );
-        let mut cfg = MachineConfig::default_single_core();
-        cfg.defense = DefenseScheme::Fence;
-        cfg.pinned_loads = PinnedLoadsConfig::with_mode(PinMode::Early);
-        assert_eq!(cfg.digest(), 0xb266_e516_9230_8174);
-    }
-
-    #[test]
-    fn digest_separates_every_axis() {
-        let base = MachineConfig::default_single_core();
-        let mutants: Vec<MachineConfig> = {
-            let mut out = Vec::new();
-            let mut c = base.clone();
-            c.num_cores = 2;
-            out.push(c);
-            let mut c = base.clone();
-            c.core.rob_entries += 1;
-            out.push(c);
-            let mut c = base.clone();
-            c.mem.dram_latency += 1;
-            out.push(c);
-            let mut c = base.clone();
-            c.defense = DefenseScheme::Fence;
-            out.push(c);
-            let mut c = base.clone();
-            c.threat_model = ThreatModel::Spectre;
-            out.push(c);
-            let mut c = base.clone();
-            c.pinned_loads.cst.wd += 1;
-            out.push(c);
-            let mut c = base.clone();
-            c.trace = TraceConfig::enabled();
-            out.push(c);
-            let mut c = base.clone();
-            c.fast_forward = false;
-            out.push(c);
-            let mut c = base.clone();
-            c.spin_parking = false;
-            out.push(c);
-            let mut c = base.clone();
-            c.seed ^= 0xdead_beef;
-            out.push(c);
-            let mut c = base.clone();
-            c.verify.enabled = true;
-            out.push(c);
-            out
-        };
-        let mut seen = vec![base.digest()];
-        for m in mutants {
-            let d = m.digest();
-            assert!(
-                !seen.contains(&d),
-                "digest collision: {m:?} aliases an earlier config"
-            );
-            seen.push(d);
-        }
-    }
-
-    #[test]
-    fn enum_codes_are_pinned() {
-        // The digest feeds these codes, not compiler discriminants;
-        // reordering an enum must not re-key the cache.
-        assert_eq!(DefenseScheme::ALL.map(DefenseScheme::code), [0, 1, 2, 3, 4]);
-        assert_eq!(ThreatModel::Comprehensive.code(), 0);
-        assert_eq!(ThreatModel::Spectre.code(), 1);
-        assert_eq!(
-            [PinMode::Off, PinMode::Late, PinMode::Early].map(PinMode::code),
-            [0, 1, 2]
-        );
     }
 
     #[test]

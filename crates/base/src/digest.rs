@@ -1,14 +1,10 @@
-//! Stable content digests for configurations and simulation jobs.
+//! Stable content digests of simulation results.
 //!
-//! The serve layer keys its content-addressed result cache on a digest of
-//! `(workload, MachineConfig, seed)`. That key must be *stable*: the same
-//! logical configuration must hash to the same value across builds, field
-//! reorderings, and additions of unrelated code. Hashing a `Debug`
-//! rendering breaks on every struct edit, so [`Fnv1a`] feeds explicit,
-//! length-disciplined field values instead, and every composite digest
-//! starts with a schema tag that is bumped whenever the field list
-//! changes meaning. A regression test pins known digests so accidental
-//! key drift fails CI instead of silently splitting the cache.
+//! The golden table in `tests/determinism.rs` and the benchmark's
+//! output digests fingerprint every run's cycles and statistics. Those
+//! pinned values must not move with the build, so [`Fnv1a`] feeds
+//! explicit, length-disciplined values instead of hashing a `Debug`
+//! rendering, which changes on every struct edit.
 //!
 //! # Examples
 //!
@@ -64,21 +60,6 @@ impl Fnv1a {
     /// Feeds a `usize` widened to `u64` (so 32- and 64-bit builds agree).
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
-    }
-
-    /// Feeds an `i64` via its two's-complement bit pattern.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    /// Feeds a `u32` widened to `u64`.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    /// Feeds a boolean as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
     }
 
     /// Feeds a string as its length followed by its UTF-8 bytes, so

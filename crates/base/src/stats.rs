@@ -277,15 +277,6 @@ impl Stats {
         self.histograms.fill(Histogram::new());
     }
 
-    /// Replaces histogram `name` with `h` wholesale, interning the name if
-    /// needed. Used when deserializing a transported result registry,
-    /// where the original per-sample stream is gone and only the pooled
-    /// histogram survives.
-    pub fn set_histogram(&mut self, name: &str, h: Histogram) {
-        let id = self.hist_id(name);
-        self.histograms[id.0 as usize] = h;
-    }
-
     /// Raw counter storage, indexed by [`StatId`]. Used by the machine's
     /// fast-forward path to snapshot and replay per-tick deltas; ordinary
     /// readers should go through names or ids.
@@ -399,23 +390,6 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
-    }
-
-    /// Reassembles a histogram from its transported summary fields.
-    /// Inverse of reading [`Histogram::count`]/[`Histogram::sum`]/
-    /// [`Histogram::min`]/[`Histogram::max`] — used by the serve layer to
-    /// reconstruct a [`Stats`] registry from result JSON. A `count` of
-    /// zero yields the empty histogram regardless of the other fields.
-    pub fn from_parts(count: u64, sum: u64, min: Option<u64>, max: Option<u64>) -> Histogram {
-        if count == 0 {
-            return Histogram::new();
-        }
-        Histogram {
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 
     /// Records `value` as `n` identical samples — bit-identical to calling

@@ -100,27 +100,6 @@ pub enum Mutation {
     IgnorePinOnInv,
 }
 
-impl Mutation {
-    /// Stable wire/digest code, independent of declaration order.
-    pub fn code(self) -> u8 {
-        match self {
-            Mutation::None => 0,
-            Mutation::DropClear => 1,
-            Mutation::IgnorePinOnInv => 2,
-        }
-    }
-
-    /// Inverse of [`Mutation::code`].
-    pub fn from_code(code: u8) -> Option<Mutation> {
-        match code {
-            0 => Some(Mutation::None),
-            1 => Some(Mutation::DropClear),
-            2 => Some(Mutation::IgnorePinOnInv),
-            _ => None,
-        }
-    }
-}
-
 /// Why an L1 line was invalidated, attached to
 /// [`CheckEvent::L1Invalidated`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,30 +1,30 @@
-//! Shared harness code for the figure/table reproduction binaries.
+//! Shared harness code and the generators of every committed result.
 //!
-//! Each binary under `src/bin/` regenerates one artifact from the paper's
-//! evaluation (see `DESIGN.md` for the index). This library provides the
-//! common machinery: building the configuration matrix of Table 3,
-//! fanning the config×workload matrix out across OS threads
-//! ([`sweep::par_map`]), caching the Unsafe baseline per workload
-//! ([`BaselineCache`]), and printing aligned tables.
+//! [`figures`] holds one function per artifact of the paper's evaluation
+//! under `results/` (see `DESIGN.md` for the index); the `regen` binary
+//! runs them in one process and writes or checks `results/`. This
+//! library provides the common machinery: building the configuration
+//! matrix of Table 3, fanning the config×workload matrix out across OS
+//! threads ([`sweep::par_map`]), remembering every run so that a job
+//! several generators share simulates once ([`RunMemo`]), and formatting
+//! aligned tables.
 //!
 //! Every simulation is deterministic given its configuration, so sweep
-//! output is bit-identical for any thread count; `--threads 1` (or
-//! `PL_SWEEP_THREADS=1`) is the reference serial path.
+//! output is bit-identical for any thread count; `PL_SWEEP_THREADS=1` is
+//! the reference serial path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod serve;
+pub mod figures;
 pub mod sweep;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::fmt::Write as _;
 
 use pl_base::{geo_mean, DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, ThreatModel};
 use pl_machine::{Machine, RunResult};
 use pl_secure::VpMask;
-use pl_workloads::{Scale, Workload};
+use pl_workloads::Workload;
 
 /// Cycle budget per run; generous because defended configurations can be
 /// several times slower than Unsafe.
@@ -90,23 +90,7 @@ pub fn run_workload(cfg: &MachineConfig, workload: &Workload) -> RunResult {
 
 /// Like [`run_workload`], with an optional VP-mask override applied
 /// before the run (the Figure 1/9 attribution experiments).
-///
-/// When the `PL_SWEEP_SERVER` environment variable names a running
-/// [`serve::serve`] instance, untraced jobs are routed through it — and
-/// therefore through its content-addressed result cache, so repeated
-/// sweeps of the same `(workload, config, seed)` triple simulate once.
-/// Traced jobs always run locally because traces don't travel over the
-/// wire.
 pub fn run_masked(cfg: &MachineConfig, mask: Option<VpMask>, workload: &Workload) -> RunResult {
-    if !cfg.trace.enabled {
-        if let Ok(addr) = std::env::var("PL_SWEEP_SERVER") {
-            if !addr.is_empty() {
-                return serve::remote_run(&addr, cfg, mask, workload).unwrap_or_else(|e| {
-                    panic!("PL_SWEEP_SERVER={addr}: workload `{}`: {e}", workload.name)
-                });
-            }
-        }
-    }
     let mut machine = Machine::new(cfg).expect("benchmark configurations are valid");
     workload.install(&mut machine);
     if let Some(mask) = mask {
@@ -121,155 +105,123 @@ pub fn run_masked(cfg: &MachineConfig, mask: Option<VpMask>, workload: &Workload
 /// override (`None` for a plain run).
 pub type SweepJob = (MachineConfig, Option<VpMask>);
 
-/// Runs every `job × workload` pair, fanned out over `threads` worker
-/// threads, and returns the full results grouped as
-/// `out[job][workload]`.
+/// Every run made so far in this process, keyed by the whole job: the
+/// full [`MachineConfig`], the VP-mask override and the workload's
+/// content.
 ///
-/// Each pair simulates on its own freshly constructed machine, so the
-/// results are bit-identical for every thread count.
-pub fn sweep_results(
-    jobs: &[SweepJob],
-    workloads: &[Workload],
+/// Generators share jobs: fig8's Unsafe baselines are also fig1's and
+/// `wd_sweep`'s, and `traffic` runs nine of fig8's thirteen
+/// configurations. Each [`RunMemo::results`] call simulates only the
+/// jobs no earlier call ran, so every shared job simulates once per
+/// process. A hit is an exact equality match, never a name or digest
+/// match: fig7's bench-scale `stream` and fig1's test-scale `stream`
+/// share a name and an Unsafe config but not a program.
+///
+/// Results are identical to running each job with [`run_masked`],
+/// whatever the thread count: which jobs are missing is decided on the
+/// calling thread, and each runs on its own fresh machine.
+pub struct RunMemo {
     threads: usize,
-) -> Vec<Vec<RunResult>> {
-    let pairs: Vec<(usize, usize)> = (0..jobs.len())
-        .flat_map(|j| (0..workloads.len()).map(move |w| (j, w)))
-        .collect();
-    let flat = sweep::par_map(threads, &pairs, |_, &(j, w)| {
-        let (cfg, mask) = &jobs[j];
-        run_masked(cfg, *mask, &workloads[w])
-    });
-    let mut flat = flat.into_iter();
-    (0..jobs.len())
-        .map(|_| {
-            (0..workloads.len())
-                .map(|_| flat.next().expect("full matrix"))
-                .collect()
-        })
-        .collect()
+    /// Each distinct workload, with the runs made on it so far.
+    entries: Vec<(Workload, Vec<(SweepJob, RunResult)>)>,
+    simulations: usize,
 }
 
-/// [`sweep_results`], reduced to raw CPIs: `out[job][workload]`.
-pub fn sweep_cpis(jobs: &[SweepJob], workloads: &[Workload], threads: usize) -> Vec<Vec<f64>> {
-    sweep_results(jobs, workloads, threads)
-        .into_iter()
-        .map(|row| row.into_iter().map(|r| r.cpi()).collect())
-        .collect()
-}
-
-/// Per-workload Unsafe-baseline CPIs, cached so each baseline is
-/// simulated exactly once per sweep no matter how many defended
-/// configurations are normalized against it.
-///
-/// The old free-function `normalized_cpi` re-ran the Unsafe baseline on
-/// every call — once per defended configuration in the extension matrix.
-/// Construct one cache per sweep instead, [`BaselineCache::prime`] it
-/// across threads, and normalize everything through it.
-pub struct BaselineCache {
-    cfg: MachineConfig,
-    cpis: Mutex<HashMap<String, f64>>,
-    runs: AtomicUsize,
-}
-
-impl BaselineCache {
-    /// Creates an empty cache keyed off the Unsafe variant of `base`.
-    pub fn new(base: &MachineConfig) -> BaselineCache {
-        BaselineCache {
-            cfg: unsafe_config(base),
-            cpis: Mutex::new(HashMap::new()),
-            runs: AtomicUsize::new(0),
+impl RunMemo {
+    /// An empty memo whose misses fan out over `threads` worker threads.
+    pub fn new(threads: usize) -> RunMemo {
+        RunMemo {
+            threads,
+            entries: Vec::new(),
+            simulations: 0,
         }
     }
 
-    /// Simulates the baseline for every not-yet-cached workload, fanned
-    /// out over `threads` worker threads.
-    pub fn prime(&self, workloads: &[Workload], threads: usize) {
-        let missing: Vec<&Workload> = {
-            let cache = self.cpis.lock().expect("baseline cache lock");
-            workloads
-                .iter()
-                .filter(|w| !cache.contains_key(&w.name))
-                .collect()
-        };
-        let fresh = sweep::par_map(threads, &missing, |_, w| {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            run_workload(&self.cfg, w).cpi()
+    /// How many simulations this memo has run: one per distinct job.
+    pub fn simulations(&self) -> usize {
+        self.simulations
+    }
+
+    fn workload_index(&mut self, workload: &Workload) -> usize {
+        match self.entries.iter().position(|(w, _)| w == workload) {
+            Some(i) => i,
+            None => {
+                self.entries.push((workload.clone(), Vec::new()));
+                self.entries.len() - 1
+            }
+        }
+    }
+
+    fn lookup(&self, workload: usize, job: &SweepJob) -> Option<&RunResult> {
+        self.entries[workload]
+            .1
+            .iter()
+            .find(|(j, _)| j == job)
+            .map(|(_, res)| res)
+    }
+
+    /// The result of every `job × workload` pair, as `out[job][workload]`,
+    /// simulating each distinct pair the memo lacks once, fanned out over
+    /// the memo's threads.
+    pub fn results(&mut self, jobs: &[SweepJob], workloads: &[Workload]) -> Vec<Vec<RunResult>> {
+        let index: Vec<usize> = workloads.iter().map(|w| self.workload_index(w)).collect();
+        let mut missing: Vec<(&SweepJob, usize, &Workload)> = Vec::new();
+        for job in jobs {
+            for (&wi, w) in index.iter().zip(workloads) {
+                if self.lookup(wi, job).is_none()
+                    && !missing.iter().any(|&(j, i, _)| i == wi && j == job)
+                {
+                    missing.push((job, wi, w));
+                }
+            }
+        }
+        let fresh = sweep::par_map(self.threads, &missing, |_, &((cfg, mask), _, w)| {
+            run_masked(cfg, *mask, w)
         });
-        let mut cache = self.cpis.lock().expect("baseline cache lock");
-        for (w, cpi) in missing.iter().zip(fresh) {
-            cache.insert(w.name.clone(), cpi);
+        self.simulations += fresh.len();
+        for (&(job, wi, _), res) in missing.iter().zip(fresh) {
+            self.entries[wi].1.push((job.clone(), res));
         }
+        jobs.iter()
+            .map(|job| {
+                index
+                    .iter()
+                    .map(|&wi| self.lookup(wi, job).expect("simulated above").clone())
+                    .collect()
+            })
+            .collect()
     }
 
-    /// The baseline CPI for `workload`, simulating it (once) on a cache
-    /// miss.
-    pub fn cpi(&self, workload: &Workload) -> f64 {
-        if let Some(&cpi) = self
-            .cpis
-            .lock()
-            .expect("baseline cache lock")
-            .get(&workload.name)
-        {
-            return cpi;
-        }
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        let cpi = run_workload(&self.cfg, workload).cpi();
-        self.cpis
-            .lock()
-            .expect("baseline cache lock")
-            .insert(workload.name.clone(), cpi);
-        cpi
-    }
-
-    /// Baseline CPIs for `workloads`, in order (simulating any misses).
-    pub fn cpis_for(&self, workloads: &[Workload]) -> Vec<f64> {
-        workloads.iter().map(|w| self.cpi(w)).collect()
-    }
-
-    /// CPI of `cfg` on `workload`, normalized to the cached Unsafe
-    /// baseline.
-    pub fn normalized_cpi(&self, cfg: &MachineConfig, workload: &Workload) -> f64 {
-        run_workload(cfg, workload).cpi() / self.cpi(workload)
-    }
-
-    /// How many baseline simulations this cache has actually run — the
-    /// exactly-once guarantee the sweep smoke test asserts on.
-    pub fn baseline_runs(&self) -> usize {
-        self.runs.load(Ordering::Relaxed)
+    /// [`RunMemo::results`], reduced to raw CPIs: `out[job][workload]`.
+    pub fn cpis(&mut self, jobs: &[SweepJob], workloads: &[Workload]) -> Vec<Vec<f64>> {
+        self.results(jobs, workloads)
+            .into_iter()
+            .map(|row| row.into_iter().map(|r| r.cpi()).collect())
+            .collect()
     }
 }
 
-/// Unsafe-baseline CPI per workload, computed once each (in parallel) and
-/// shared across the scheme tables.
-pub fn unsafe_cpis(base: &MachineConfig, workloads: &[Workload], threads: usize) -> Vec<f64> {
-    let cache = BaselineCache::new(base);
-    cache.prime(workloads, threads);
-    cache.cpis_for(workloads)
-}
-
-/// Normalized-CPI rows for one scheme: one row per workload with the four
-/// Table 3 columns (`Comp`, `LP`, `EP`, `Spectre`), the whole matrix
-/// fanned out over `threads`.
-pub fn scheme_cpi_rows(
+/// Unsafe-baseline CPI per workload.
+pub(crate) fn unsafe_cpis(
+    memo: &mut RunMemo,
     base: &MachineConfig,
     workloads: &[Workload],
-    scheme: DefenseScheme,
-    baselines: &[f64],
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    scheme_matrix_rows(base, &[scheme], workloads, baselines, threads).remove(0)
+) -> Vec<f64> {
+    memo.cpis(&[(unsafe_config(base), None)], workloads)
+        .remove(0)
 }
 
 /// Normalized-CPI rows for several schemes at once, as
-/// `out[scheme][workload][column]` — a single fan-out across the full
-/// scheme×workload×extension matrix so every simulation is available to
-/// the thread pool from the start.
-pub fn scheme_matrix_rows(
+/// `out[scheme][workload][column]`, one column per [`extension_matrix`]
+/// entry — a single fan-out across the full scheme×workload×extension
+/// matrix so every simulation is available to the thread pool from the
+/// start.
+pub(crate) fn scheme_matrix_rows(
+    memo: &mut RunMemo,
     base: &MachineConfig,
     schemes: &[DefenseScheme],
     workloads: &[Workload],
     baselines: &[f64],
-    threads: usize,
 ) -> Vec<Vec<Vec<f64>>> {
     let matrices: Vec<_> = schemes.iter().map(|&s| extension_matrix(base, s)).collect();
     let jobs: Vec<SweepJob> = matrices
@@ -277,7 +229,7 @@ pub fn scheme_matrix_rows(
         .flatten()
         .map(|(_, cfg)| (cfg.clone(), None))
         .collect();
-    let per_job = sweep_cpis(&jobs, workloads, threads);
+    let per_job = memo.cpis(&jobs, workloads);
     let mut first = 0;
     matrices
         .iter()
@@ -297,8 +249,8 @@ pub fn scheme_matrix_rows(
 }
 
 /// Geo-mean execution-overhead percentage per job, from raw
-/// [`sweep_cpis`] output and per-workload baselines.
-pub fn geo_overheads(cpis_per_job: &[Vec<f64>], baselines: &[f64]) -> Vec<f64> {
+/// [`RunMemo::cpis`] output and per-workload baselines.
+pub(crate) fn geo_overheads(cpis_per_job: &[Vec<f64>], baselines: &[f64]) -> Vec<f64> {
     cpis_per_job
         .iter()
         .map(|cpis| {
@@ -309,8 +261,7 @@ pub fn geo_overheads(cpis_per_job: &[Vec<f64>], baselines: &[f64]) -> Vec<f64> {
 }
 
 /// Formats a row of `values` under `name`, one column per configuration.
-pub fn format_row(name: &str, values: &[f64]) -> String {
-    use std::fmt::Write as _;
+pub(crate) fn format_row(name: &str, values: &[f64]) -> String {
     let mut s = format!("{name:<16}");
     for v in values {
         let _ = write!(s, " {v:>8.3}");
@@ -319,8 +270,7 @@ pub fn format_row(name: &str, values: &[f64]) -> String {
 }
 
 /// Formats the header row for a table with the given column labels.
-pub fn format_header(columns: &[&str]) -> String {
-    use std::fmt::Write as _;
+pub(crate) fn format_header(columns: &[&str]) -> String {
     let mut s = format!("{:<16}", "benchmark");
     for c in columns {
         let _ = write!(s, " {c:>8}");
@@ -333,7 +283,7 @@ pub fn format_header(columns: &[&str]) -> String {
 /// # Panics
 ///
 /// Panics if the matrix is empty or ragged.
-pub fn geo_mean_rows(rows: &[Vec<f64>]) -> Vec<f64> {
+pub(crate) fn geo_mean_rows(rows: &[Vec<f64>]) -> Vec<f64> {
     assert!(!rows.is_empty(), "need at least one benchmark row");
     let cols = rows[0].len();
     (0..cols)
@@ -350,115 +300,46 @@ pub fn overhead_pct(normalized_cpi: f64) -> f64 {
     (normalized_cpi - 1.0) * 100.0
 }
 
-/// Prints a full normalized-CPI table for one scheme under the given
-/// column labels, with a trailing geometric-mean row, and returns the
-/// geo-mean values.
-pub fn print_scheme_table(
+/// Writes a full normalized-CPI table for one scheme under the given
+/// column labels, with a trailing geometric-mean row and the geo-mean
+/// overheads.
+pub(crate) fn scheme_table(
+    out: &mut String,
     scheme: DefenseScheme,
     columns: &[&str],
     names: &[String],
     rows: &[Vec<f64>],
-) -> Vec<f64> {
-    println!("\n--- {scheme} (normalized CPI vs Unsafe) ---");
-    println!("{}", format_header(columns));
+) {
+    let _ = writeln!(out, "\n--- {scheme} (normalized CPI vs Unsafe) ---");
+    let _ = writeln!(out, "{}", format_header(columns));
     for (name, row) in names.iter().zip(rows) {
-        println!("{}", format_row(name, row));
+        let _ = writeln!(out, "{}", format_row(name, row));
     }
     let gm = geo_mean_rows(rows);
-    println!("{}", format_row("Geo. Mean", &gm));
+    let _ = writeln!(out, "{}", format_row("Geo. Mean", &gm));
     let overheads: Vec<String> = columns
         .iter()
         .zip(&gm)
         .map(|(c, &g)| format!("{c} {:.1}%", overhead_pct(g)))
         .collect();
-    println!("overheads: {}", overheads.join("  "));
-    gm
+    let _ = writeln!(out, "overheads: {}", overheads.join("  "));
 }
 
 /// The column labels of [`extension_matrix`] for `scheme`.
-pub fn extension_labels(base: &MachineConfig, scheme: DefenseScheme) -> Vec<&'static str> {
+pub(crate) fn extension_labels(base: &MachineConfig, scheme: DefenseScheme) -> Vec<&'static str> {
     extension_matrix(base, scheme)
         .into_iter()
         .map(|(label, _)| label)
         .collect()
 }
 
-/// Parsed CLI flags shared by the figure binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchArgs {
-    /// Workload scale (`--scale test|bench|full`).
-    pub scale: Scale,
-    /// Simulated core count for the parallel suites (`--cores N`).
-    pub cores: usize,
-    /// Sweep worker threads (`--threads N`, default from
-    /// [`sweep::default_threads`]).
-    pub threads: usize,
-}
-
-/// Parses the common CLI flags of the figure binaries:
-/// `--scale test|bench|full`, `--cores N`, and `--threads N` (sweep
-/// worker threads; defaults to `PL_SWEEP_THREADS` or the machine's
-/// available parallelism). Unknown flags abort with a usage message.
-pub fn parse_args() -> BenchArgs {
-    let mut parsed = BenchArgs {
-        scale: Scale::Bench,
-        cores: 8,
-        threads: sweep::default_threads(),
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                parsed.scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("bench") => Scale::Bench,
-                    Some("full") => Scale::Full,
-                    other => {
-                        eprintln!("unknown scale {other:?}; use test|bench|full");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--cores" => {
-                i += 1;
-                parsed.cores = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--cores requires a number");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                i += 1;
-                parsed.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t: &usize| t >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a number >= 1");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; supported: --scale test|bench|full, \
-                     --cores N, --threads N"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    parsed
-}
-
-/// Prints the simulated-architecture banner (Table 1 summary) so every
-/// report is self-describing.
-pub fn print_banner(title: &str, cfg: &MachineConfig) {
-    println!("== {title} ==");
-    println!(
-        "machine: {} core(s), ROB {}, LQ {}, SQ {}, WB {}, L1D {}KB/{}-way, \
-         LLC {}x{}MB/{}-way, DRAM {} cycles",
+/// The simulated-architecture banner (Table 1 summary) that opens every
+/// report, so each is self-describing.
+pub(crate) fn banner(title: &str, cfg: &MachineConfig) -> String {
+    format!(
+        "== {title} ==\n\
+         machine: {} core(s), ROB {}, LQ {}, SQ {}, WB {}, L1D {}KB/{}-way, \
+         LLC {}x{}MB/{}-way, DRAM {} cycles\n",
         cfg.num_cores,
         cfg.core.rob_entries,
         cfg.core.lq_entries,
@@ -470,7 +351,7 @@ pub fn print_banner(title: &str, cfg: &MachineConfig) {
         cfg.mem.llc_slice.size_bytes / (1024 * 1024),
         cfg.mem.llc_slice.ways,
         cfg.mem.dram_latency,
-    );
+    )
 }
 
 #[cfg(test)]
@@ -538,35 +419,6 @@ mod tests {
         let h = format_header(&["Comp", "LP"]);
         let r = format_row("stream", &[1.5, 1.25]);
         assert_eq!(h.len(), r.len());
-    }
-
-    #[test]
-    fn baseline_cache_normalizes_unsafe_to_one_and_runs_once() {
-        let base = MachineConfig::default_single_core();
-        let w = pl_workloads::spec_suite(Scale::Test).remove(4); // alu_dense
-        let cache = BaselineCache::new(&base);
-        let n = cache.normalized_cpi(&unsafe_config(&base), &w);
-        assert!((n - 1.0).abs() < 1e-9);
-        assert_eq!(cache.baseline_runs(), 1);
-        // Re-normalizing against the same workload reuses the cached
-        // baseline — the fix for the old per-call re-simulation.
-        let n2 = cache.normalized_cpi(&unsafe_config(&base), &w);
-        assert!((n2 - 1.0).abs() < 1e-9);
-        assert_eq!(cache.baseline_runs(), 1);
-    }
-
-    #[test]
-    fn prime_skips_cached_workloads() {
-        let base = MachineConfig::default_single_core();
-        let workloads: Vec<Workload> = pl_workloads::spec_suite(Scale::Test)
-            .into_iter()
-            .filter(|w| ["alu_dense", "pointer_chase"].contains(&w.name.as_str()))
-            .collect();
-        let cache = BaselineCache::new(&base);
-        cache.prime(&workloads, 2);
-        assert_eq!(cache.baseline_runs(), workloads.len());
-        cache.prime(&workloads, 2);
-        assert_eq!(cache.baseline_runs(), workloads.len());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! thread counts because each job's machine is seeded only by its
 //! configuration, and [`par_map`] returns results in input order.
 //!
-//! The thread count comes from `--threads N`, the `PL_SWEEP_THREADS`
-//! environment variable, or [`std::thread::available_parallelism`], in
-//! that priority order (see [`default_threads`]).
+//! The thread count comes from the `PL_SWEEP_THREADS` environment
+//! variable, or else [`std::thread::available_parallelism`] (see
+//! [`default_threads`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

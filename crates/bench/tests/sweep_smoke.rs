@@ -1,15 +1,15 @@
-//! Determinism and exactly-once guarantees of the parallel sweep runner.
+//! Determinism and exactly-once guarantees of the parallel sweep runner
+//! and its run memo.
 //!
-//! The figure binaries must print the same numbers whatever `--threads`
-//! is, and the Unsafe baseline must be simulated exactly once per
-//! workload per sweep. Both are load-bearing acceptance criteria, so
-//! they get end-to-end coverage here on a small config×workload matrix.
+//! The generators must print the same numbers whatever the thread count
+//! is, and every distinct job — the Unsafe baselines above all — must
+//! simulate exactly once per process however many generators share it.
+//! Both are load-bearing, so they get end-to-end coverage here on a
+//! small config×workload matrix.
 
 use pl_base::{DefenseScheme, MachineConfig, TraceConfig};
-use pl_bench::{
-    extension_matrix, run_workload, sweep_cpis, sweep_results, unsafe_config, BaselineCache,
-    SweepJob,
-};
+use pl_bench::{extension_matrix, run_masked, run_workload, unsafe_config, RunMemo, SweepJob};
+use pl_secure::VpMask;
 use pl_workloads::{spec_suite, Scale, Workload};
 
 fn small_suite() -> Vec<Workload> {
@@ -51,9 +51,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         .into_iter()
         .map(|(_, cfg)| (cfg, None))
         .collect();
-    let serial = sweep_cpis(&jobs, &workloads, 1);
+    let serial = RunMemo::new(1).cpis(&jobs, &workloads);
     for threads in [2, 4, 8, 16] {
-        let parallel = sweep_cpis(&jobs, &workloads, threads);
+        let parallel = RunMemo::new(threads).cpis(&jobs, &workloads);
         assert_bits_equal(&serial, &parallel, threads);
     }
 }
@@ -73,36 +73,92 @@ fn fast_forward_sweeps_stay_bit_identical_across_threads() {
             .map(|(_, cfg)| (cfg, None))
             .collect()
     };
-    let single_stepped = sweep_cpis(&jobs(false), &workloads, 1);
-    let ff_serial = sweep_cpis(&jobs(true), &workloads, 1);
+    let single_stepped = RunMemo::new(1).cpis(&jobs(false), &workloads);
+    let ff_serial = RunMemo::new(1).cpis(&jobs(true), &workloads);
     assert_bits_equal(&single_stepped, &ff_serial, 1);
     for threads in [4, 8] {
-        let ff_parallel = sweep_cpis(&jobs(true), &workloads, threads);
+        let ff_parallel = RunMemo::new(threads).cpis(&jobs(true), &workloads);
         assert_bits_equal(&single_stepped, &ff_parallel, threads);
     }
 }
 
 #[test]
-fn baseline_runs_exactly_once_per_workload() {
+fn memo_simulates_each_distinct_job_once() {
     let base = MachineConfig::default_single_core();
     let workloads = small_suite();
-    let cache = BaselineCache::new(&base);
-    cache.prime(&workloads, 4);
-    assert_eq!(cache.baseline_runs(), workloads.len());
-    // A whole extension matrix of normalized queries must not re-run any
-    // baseline (the bug this cache replaced: one baseline re-simulation
-    // per defended configuration).
-    for (_, cfg) in extension_matrix(&base, DefenseScheme::Fence) {
-        for w in &workloads {
-            let n = cache.normalized_cpi(&cfg, w);
-            assert!(n.is_finite() && n > 0.0);
+    let fence = extension_matrix(&base, DefenseScheme::Fence);
+    let baseline: SweepJob = (unsafe_config(&base), None);
+    let comp: SweepJob = (fence[0].1.clone(), None);
+    let ep: SweepJob = (fence[2].1.clone(), None);
+    let mut memo = RunMemo::new(4);
+    // One sweep that lists the baseline twice simulates it once, and
+    // both rows carry that one result.
+    let first = memo.results(
+        &[baseline.clone(), comp.clone(), baseline.clone()],
+        &workloads,
+    );
+    assert_eq!(memo.simulations(), 2 * workloads.len());
+    for (a, b) in first[0].iter().zip(&first[2]) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+    // A second sweep sharing both jobs simulates only its new one.
+    memo.results(&[ep, comp, baseline], &workloads);
+    assert_eq!(memo.simulations(), 3 * workloads.len());
+    // So does a sweep that lists a workload twice.
+    let twice = [workloads[0].clone(), workloads[0].clone()];
+    memo.results(&[(fence[1].1.clone(), None)], &twice);
+    assert_eq!(memo.simulations(), 3 * workloads.len() + 1);
+}
+
+#[test]
+fn memo_keys_on_workload_content_not_name() {
+    // Figure 7's bench-scale `stream` and Figure 1's test-scale `stream`
+    // share a name and an Unsafe config, but not a program: a memo keyed
+    // by name would hand one the other's cycles.
+    let cfg = unsafe_config(&MachineConfig::default_single_core());
+    let stream = |scale| spec_suite(scale).into_iter().find(|w| w.name == "stream");
+    let (test, bench) = (stream(Scale::Test).unwrap(), stream(Scale::Bench).unwrap());
+    let jobs = [(cfg.clone(), None)];
+    let mut memo = RunMemo::new(2);
+    let at_test = memo
+        .results(&jobs, std::slice::from_ref(&test))
+        .remove(0)
+        .remove(0);
+    let at_bench = memo
+        .results(&jobs, std::slice::from_ref(&bench))
+        .remove(0)
+        .remove(0);
+    assert_eq!(memo.simulations(), 2, "one entry per scale");
+    assert_eq!(at_test.cycles, run_workload(&cfg, &test).cycles);
+    assert_eq!(at_bench.cycles, run_workload(&cfg, &bench).cycles);
+    assert_ne!(at_test.cycles, at_bench.cycles);
+}
+
+#[test]
+fn memo_results_match_direct_runs_at_any_thread_count() {
+    let base = MachineConfig::default_single_core();
+    let workloads = small_suite();
+    let fence = extension_matrix(&base, DefenseScheme::Fence);
+    let jobs: Vec<SweepJob> = vec![
+        (unsafe_config(&base), None),
+        (fence[0].1.clone(), Some(VpMask::cumulative()[0].1)),
+        (fence[2].1.clone(), None),
+    ];
+    for threads in [1, 4] {
+        let got = RunMemo::new(threads).results(&jobs, &workloads);
+        for ((cfg, mask), row) in jobs.iter().zip(&got) {
+            for (w, res) in workloads.iter().zip(row) {
+                let want = run_masked(cfg, *mask, w);
+                assert_eq!(
+                    format!("{res:?}"),
+                    format!("{want:?}"),
+                    "{} on {} at {threads} threads",
+                    w.name,
+                    cfg.label()
+                );
+            }
         }
     }
-    assert_eq!(cache.baseline_runs(), workloads.len());
-    // And the baseline normalizes to exactly 1.0 against itself.
-    let w = &workloads[0];
-    let n = cache.normalized_cpi(&unsafe_config(&base), w);
-    assert!((n - 1.0).abs() < 1e-12);
 }
 
 #[test]
@@ -120,9 +176,9 @@ fn traced_sweep_is_bit_identical_across_threads() {
             None,
         ), // EP
     ];
-    let serial = sweep_results(&jobs, &workloads, 1);
+    let serial = RunMemo::new(1).results(&jobs, &workloads);
     for threads in [2, 8] {
-        let parallel = sweep_results(&jobs, &workloads, threads);
+        let parallel = RunMemo::new(threads).results(&jobs, &workloads);
         for (s_row, p_row) in serial.iter().zip(&parallel) {
             for (s, p) in s_row.iter().zip(p_row) {
                 let s_log = s.trace.as_ref().expect("traced run");
@@ -174,22 +230,4 @@ fn chrome_trace_export_is_parseable_with_monotonic_timestamps() {
         last_ts.insert((pid, tid), ts);
     }
     assert!(durable > 0, "export contains duration events");
-}
-
-#[test]
-fn priming_across_thread_counts_is_deterministic() {
-    let base = MachineConfig::default_single_core();
-    let workloads = small_suite();
-    let serial = BaselineCache::new(&base);
-    serial.prime(&workloads, 1);
-    let parallel = BaselineCache::new(&base);
-    parallel.prime(&workloads, 4);
-    for w in &workloads {
-        assert_eq!(
-            serial.cpi(w).to_bits(),
-            parallel.cpi(w).to_bits(),
-            "{}",
-            w.name
-        );
-    }
 }

@@ -66,7 +66,7 @@ impl Scale {
 
 /// A ready-to-install benchmark: per-core programs plus initial memory
 /// and register state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Short kernel name used in result tables.
     pub name: String,

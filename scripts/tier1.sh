@@ -25,26 +25,10 @@ cargo run --release -q -p pl-verify -- --smoke
 # Attack-suite smoke: every gadget x scheme point of the leakage sweep
 # runs end to end and writes a parseable leakage report.
 cargo run --release -q -p pl-attack -- --smoke --out /dev/null
-# Serve smoke: boot the job server on an ephemeral port, submit the same
-# job twice, and require the repeat to be a cache hit whose result JSON
-# is byte-identical to the run that populated the cache.
-SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$SERVE_DIR"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
-./target/release/plsim serve --addr 127.0.0.1:0 \
-  --port-file "$SERVE_DIR/port.txt" --cache-dir "$SERVE_DIR/cache" --threads 2 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [ -s "$SERVE_DIR/port.txt" ] && break; sleep 0.1; done
-SERVE_ADDR=$(cat "$SERVE_DIR/port.txt")
-./target/release/plsim submit --server "$SERVE_ADDR" --workload stream \
-  --scheme fence --pin ep --scale test >"$SERVE_DIR/run1.json" 2>"$SERVE_DIR/meta1.txt"
-./target/release/plsim submit --server "$SERVE_ADDR" --workload stream \
-  --scheme fence --pin ep --scale test >"$SERVE_DIR/run2.json" 2>"$SERVE_DIR/meta2.txt"
-grep -q 'cached=false' "$SERVE_DIR/meta1.txt"
-grep -q 'cached=true' "$SERVE_DIR/meta2.txt"
-cmp "$SERVE_DIR/run1.json" "$SERVE_DIR/run2.json"
-./target/release/plsim shutdown --server "$SERVE_ADDR" 2>/dev/null
-wait "$SERVE_PID"
-unset SERVE_PID
+# Freshness: every figure and table under results/ is regenerated in
+# one process and must match its committed bytes; a stale file is named
+# and fails the gate.
+cargo run --release -q -p pl-bench --bin regen -- --check
 # Invariant-heavy sweeps once more at release speed with debug
 # assertions live (the `checked` profile), so internal debug_assert!s
 # in the pipeline/protocol run against the full scheme matrix. The

@@ -1,20 +1,14 @@
 //! `plsim` — run any bundled kernel on any configuration from the
-//! command line, or talk to a long-running simulation server.
+//! command line.
 //!
 //! ```sh
 //! plsim --list
 //! plsim --workload stream --scheme fence --pin ep
 //! plsim --workload migratory --cores 8 --scheme dom --pin lp --scale bench --stats
 //! plsim --asm kernel.s --scheme stt --pin ep --stats
-//!
-//! # simulation-as-a-service: repeats are served from the result cache
-//! plsim serve --addr 127.0.0.1:7171 --cache-dir /tmp/plcache &
-//! plsim submit --server 127.0.0.1:7171 --workload stream --scheme fence --pin ep
-//! plsim shutdown --server 127.0.0.1:7171
 //! ```
 
 use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, ThreatModel};
-use pinned_loads::bench::serve;
 use pinned_loads::machine::Machine;
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
 
@@ -30,21 +24,12 @@ struct Args {
     conservative_tso: bool,
     show_stats: bool,
     list: bool,
-    // Server-related options.
-    server: Option<String>,
-    addr: String,
-    threads: Option<usize>,
-    cache_dir: String,
-    cache_max_entries: Option<usize>,
-    cache_max_bytes: Option<u64>,
-    port_file: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: plsim [submit|serve|shutdown] [options]\n\
+        "usage: plsim [options]\n\
          \n\
-         run locally (default command):\n\
            --list                     list available kernels and exit\n\
            --workload NAME            run a bundled kernel\n\
            --asm FILE                 assemble and run FILE instead of a bundled kernel\n\
@@ -54,22 +39,7 @@ fn usage() -> ! {
            --cores N                       (default 1; >=2 selects the parallel suite)\n\
            --scale test|bench|full         (default bench)\n\
            --conservative-tso              squash even the oldest load\n\
-           --stats                         dump all statistics counters\n\
-         \n\
-         serve — run the job server (content-addressed result cache):\n\
-           --addr HOST:PORT                bind address (default 127.0.0.1:0)\n\
-           --threads N                     simulation workers (default: sweep threads)\n\
-           --cache-dir DIR                 result cache directory (default plcache)\n\
-           --cache-max-entries N           evict LRU entries past N cached results\n\
-           --cache-max-bytes N             evict LRU entries past N total cached bytes\n\
-           --port-file FILE                write the bound address here once listening\n\
-         \n\
-         submit — run a job on a server (same workload/config flags as local):\n\
-           --server HOST:PORT              server address (or PL_SWEEP_SERVER)\n\
-         prints the result JSON on stdout; cached/digest metadata goes to stderr\n\
-         \n\
-         shutdown — stop a server:\n\
-           --server HOST:PORT              server address (or PL_SWEEP_SERVER)"
+           --stats                         dump all statistics counters"
     );
     std::process::exit(2);
 }
@@ -86,15 +56,6 @@ fn parse(argv: &[String]) -> Args {
         conservative_tso: false,
         show_stats: false,
         list: false,
-        server: std::env::var("PL_SWEEP_SERVER")
-            .ok()
-            .filter(|s| !s.is_empty()),
-        addr: "127.0.0.1:0".to_string(),
-        threads: None,
-        cache_dir: "plcache".to_string(),
-        cache_max_entries: None,
-        cache_max_bytes: None,
-        port_file: None,
     };
     let mut i = 0;
     let value = |argv: &[String], i: usize| -> String {
@@ -152,34 +113,6 @@ fn parse(argv: &[String]) -> Args {
                     "full" => Scale::Full,
                     _ => usage(),
                 };
-                i += 1;
-            }
-            "--server" => {
-                args.server = Some(value(argv, i));
-                i += 1;
-            }
-            "--addr" => {
-                args.addr = value(argv, i);
-                i += 1;
-            }
-            "--threads" => {
-                args.threads = Some(value(argv, i).parse().unwrap_or_else(|_| usage()));
-                i += 1;
-            }
-            "--cache-dir" => {
-                args.cache_dir = value(argv, i);
-                i += 1;
-            }
-            "--cache-max-entries" => {
-                args.cache_max_entries = Some(value(argv, i).parse().unwrap_or_else(|_| usage()));
-                i += 1;
-            }
-            "--cache-max-bytes" => {
-                args.cache_max_bytes = Some(value(argv, i).parse().unwrap_or_else(|_| usage()));
-                i += 1;
-            }
-            "--port-file" => {
-                args.port_file = Some(value(argv, i));
                 i += 1;
             }
             _ => usage(),
@@ -293,70 +226,9 @@ fn build_workload(args: &Args) -> (String, Workload) {
     }
 }
 
-fn server_addr(args: &Args) -> String {
-    args.server.clone().unwrap_or_else(|| {
-        eprintln!("no server address: pass --server HOST:PORT or set PL_SWEEP_SERVER");
-        std::process::exit(2);
-    })
-}
-
-fn cmd_serve(args: &Args) {
-    let opts = serve::ServeOptions {
-        addr: args.addr.clone(),
-        threads: args
-            .threads
-            .unwrap_or_else(pinned_loads::bench::sweep::default_threads),
-        cache_dir: args.cache_dir.clone().into(),
-        cache_max_entries: args.cache_max_entries,
-        cache_max_bytes: args.cache_max_bytes,
-        port_file: args.port_file.clone().map(Into::into),
-    };
-    if let Err(e) = serve::serve(&opts) {
-        eprintln!("serve failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn cmd_submit(args: &Args) {
-    let addr = server_addr(args);
-    let (name, workload) = build_workload(args);
-    let cfg = build_config(args);
-    let line = serve::run_request_json(&cfg, None, &workload);
-    let resp = serve::request(&addr, &line).unwrap_or_else(|e| {
-        eprintln!("cannot reach server {addr}: {e}");
-        std::process::exit(1);
-    });
-    match serve::extract_result(&resp) {
-        Ok(result) => {
-            // Result JSON alone on stdout — byte-identical for a cache
-            // hit and the run that populated it — metadata on stderr.
-            println!("{result}");
-            let v = pinned_loads::trace::json::parse(&resp).expect("validated by extract_result");
-            let digest = v.get("digest").and_then(|d| d.as_str()).unwrap_or("?");
-            eprintln!(
-                "workload={name} digest={digest} cached={}",
-                serve::response_was_cached(&resp),
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn cmd_shutdown(args: &Args) {
-    let addr = server_addr(args);
-    match serve::request(&addr, "{\"cmd\":\"shutdown\"}") {
-        Ok(resp) => eprintln!("server {addr}: {resp}"),
-        Err(e) => {
-            eprintln!("cannot reach server {addr}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn cmd_local(args: &Args) {
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv);
     if args.list {
         println!("single-core (SPEC17-like) kernels:");
         for w in spec_suite(Scale::Test) {
@@ -368,8 +240,8 @@ fn cmd_local(args: &Args) {
         }
         return;
     }
-    let (name, workload) = build_workload(args);
-    let cfg = build_config(args);
+    let (name, workload) = build_workload(&args);
+    let cfg = build_config(&args);
     let mut machine = Machine::new(&cfg).expect("validated configuration");
     workload.install(&mut machine);
     match machine.run(5_000_000_000) {
@@ -388,16 +260,6 @@ fn cmd_local(args: &Args) {
             eprintln!("run failed: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&parse(&argv[1..])),
-        Some("submit") => cmd_submit(&parse(&argv[1..])),
-        Some("shutdown") => cmd_shutdown(&parse(&argv[1..])),
-        _ => cmd_local(&parse(&argv)),
     }
 }
 

@@ -21,7 +21,7 @@
 //! | [`cpu`] | `pl-cpu` | the out-of-order pipeline, with STT taint tracking |
 //! | [`machine`] | `pl-machine` | the assembled multicore machine |
 //! | [`workloads`] | `pl-workloads` | SPEC17-like and SPLASH2/PARSEC-like kernels |
-//! | [`mod@bench`] | `pl-bench` | sweep fan-out, baseline cache, and the `plsim serve` job server with its content-addressed result cache |
+//! | [`mod@bench`] | `pl-bench` | sweep fan-out, the run memo, and the generators of every figure and table under `results/` |
 //!
 //! # Quickstart
 //!
@@ -46,8 +46,8 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `docs/INTERNALS.md` for a mechanism walkthrough, `EXPERIMENTS.md` for the
-//! paper-versus-measured comparison, and `crates/bench/src/bin/` for the
-//! harnesses that regenerate every figure and table.
+//! paper-versus-measured comparison, and [`bench::figures`] for the
+//! generators that the `regen` binary runs to rebuild `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
