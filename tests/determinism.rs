@@ -4,20 +4,27 @@
 //! depend on this.
 
 use pinned_loads::base::digest::Fnv1a;
-use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig};
+use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, ThreatModel};
 use pinned_loads::bench::sweep::par_map;
 use pinned_loads::machine::{Machine, RunResult};
+use pinned_loads::secure::VpMask;
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
 
-fn run_once(cfg: &MachineConfig, w: &Workload) -> RunResult {
+/// Runs `w` under `cfg`, with `mask` overriding the threat model's VP
+/// mask when given (the Figure 1 release points). The mask is set after
+/// `install`, whose `load_program` rebuilds each core from `cfg`.
+fn run_once(cfg: &MachineConfig, mask: Option<VpMask>, w: &Workload) -> RunResult {
     let mut m = Machine::new(cfg).unwrap();
     w.install(&mut m);
+    if let Some(mask) = mask {
+        m.set_vp_mask(mask);
+    }
     m.run(500_000_000).unwrap()
 }
 
 fn assert_identical(cfg: &MachineConfig, w: &Workload) {
-    let a = run_once(cfg, w);
-    let b = run_once(cfg, w);
+    let a = run_once(cfg, None, w);
+    let b = run_once(cfg, None, w);
     assert_eq!(
         a.cycles,
         b.cycles,
@@ -74,27 +81,36 @@ fn multicore_runs_are_bit_identical() {
     }
 }
 
-/// The configurations the golden table pins, in column order. Between
-/// them they cover every scheme's issue rules, both pinning modes, the
+/// The configurations the golden table pins, in column order, each with
+/// the VP mask that overrides its threat model's, if any. Between them
+/// they cover every scheme's issue rules, both pinning modes, the
 /// invisible bit, and the oldest-load exemption that `conservative_tso`
 /// removes. STT runs under all three pinning modes: its taint clears at
-/// each load's VP, whose MCV condition differs per mode.
-fn golden_configs(cores: usize) -> Vec<MachineConfig> {
+/// each load's VP, whose MCV condition differs per mode. Fence without
+/// pinning runs under the Comprehensive and Spectre threat models and
+/// under Figure 1's "Alias Dep." mask, so each VP condition it waits on
+/// is pinned on its own.
+fn golden_configs(cores: usize) -> Vec<(MachineConfig, Option<VpMask>)> {
     use DefenseScheme::*;
     use PinMode::*;
+    use ThreatModel::*;
+    let alias_dep = VpMask::cumulative()[1].1;
     let points = [
-        (Unsafe, Off, false),
-        (Fence, Early, false),
-        (Dom, Late, false),
-        (Stt, Off, false),
-        (Invisible, Off, false),
-        (Fence, Late, true),
-        (Stt, Late, false),
-        (Stt, Early, false),
+        (Unsafe, Off, false, Comprehensive, None),
+        (Fence, Early, false, Comprehensive, None),
+        (Dom, Late, false, Comprehensive, None),
+        (Stt, Off, false, Comprehensive, None),
+        (Invisible, Off, false, Comprehensive, None),
+        (Fence, Late, true, Comprehensive, None),
+        (Stt, Late, false, Comprehensive, None),
+        (Stt, Early, false, Comprehensive, None),
+        (Fence, Off, false, Comprehensive, None),
+        (Fence, Off, false, Spectre, None),
+        (Fence, Off, false, Comprehensive, Some(alias_dep)),
     ];
     points
         .into_iter()
-        .map(|(scheme, mode, conservative)| {
+        .map(|(scheme, mode, conservative, threat, mask)| {
             let mut cfg = if cores == 1 {
                 MachineConfig::default_single_core()
             } else {
@@ -103,7 +119,8 @@ fn golden_configs(cores: usize) -> Vec<MachineConfig> {
             cfg.defense = scheme;
             cfg.pinned_loads = PinnedLoadsConfig::with_mode(mode);
             cfg.core.conservative_tso = conservative;
-            cfg
+            cfg.threat_model = threat;
+            (cfg, mask)
         })
         .collect()
 }
@@ -113,7 +130,7 @@ fn golden_configs(cores: usize) -> Vec<MachineConfig> {
 type GoldenRow = (&'static str, [u64; GOLDEN_COLS], u64);
 
 /// Columns of [`GOLDEN`]: one per [`golden_configs`] point.
-const GOLDEN_COLS: usize = 8;
+const GOLDEN_COLS: usize = 11;
 
 /// Absolute timing of a small matrix, so a change that shifts a single
 /// cycle anywhere in the pipeline fails tier-1 rather than only the
@@ -122,25 +139,25 @@ const GOLDEN_COLS: usize = 8;
 /// pinned sharer defers, so it pins the atomic Abort and GetX* retry.
 #[rustfmt::skip]
 const GOLDEN: &[GoldenRow] = &[
-    ("stream", [7668, 8294, 61211, 7668, 61815, 61810, 7668, 7668], 0x99afa444bdbe70a7),
-    ("chase_cold", [232198, 240366, 239922, 232198, 426938, 240366, 232198, 232198], 0x1b7cce6ba1779b6f),
-    ("chase_hot", [22596, 32190, 22840, 22596, 23328, 32190, 22596, 22596], 0xa92404ad8bae03f1),
-    ("branch_random", [8987, 11715, 11112, 8987, 11329, 11715, 8987, 8987], 0x22a8f2863fed49d4),
-    ("alu_dense", [3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206], 0xfc3a61fc7d9de995),
-    ("gather", [3333, 4542, 25027, 25899, 26673, 27436, 13269, 3469], 0x477f4f4f3b8e6122),
-    ("stencil_rw", [1111, 1111, 1111, 1111, 1117, 1111, 1111, 1111], 0x30ca59615961db5a),
-    ("hot_reuse", [1962, 1978, 5364, 1962, 5866, 5860, 1962, 1962], 0xe522d8a883c7d71f),
-    ("write_burst", [31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207], 0x2974aa71a537d418),
-    ("call_tree", [710, 711, 711, 710, 716, 711, 710, 710], 0x4666528e335ab23b),
-    ("chase_branchy", [151117, 181688, 170202, 167174, 427650, 181688, 167174, 167174], 0x980da88c13bb8a06),
-    ("mixed", [2136, 4955, 6757, 2843, 7393, 11113, 2869, 2474], 0x94129cc9778220c4),
-    ("matrix_block", [1023, 1023, 1025, 1023, 1171, 1174, 1023, 1023], 0x623428944c2424f7),
-    ("byte_scan", [5257, 14441, 11591, 5257, 10840, 14441, 5257, 5257], 0xa1cc07ccc7fe39a9),
-    ("random_rw", [1944, 2450, 12636, 1944, 24102, 24104, 1944, 1944], 0x2b6cb3d34d6f8017),
-    ("reduction", [9469, 9532, 15907, 9469, 17182, 17177, 9469, 9469], 0x1cd0084ff742db40),
-    ("lock_counter", [535, 535, 535, 535, 535, 535, 535, 535], 0x19975625530e79b5),
-    ("cas_queue", [2925, 4560, 3853, 2925, 2957, 2866, 4080, 4538], 0x1587ebcfcd46317b),
-    ("spin_relay", [120728, 121344, 120728, 120728, 120797, 121228, 120728, 120728], 0xbdd246d0075ae6fa),
+    ("stream", [7668, 8294, 61211, 7668, 61815, 61810, 7668, 7668, 64807, 7668, 7668], 0xa457d473b1ee88fe),
+    ("chase_cold", [232198, 240366, 239922, 232198, 426938, 240366, 232198, 232198, 240366, 240366, 240366], 0x3a8ee01240c432a7),
+    ("chase_hot", [22596, 32190, 22840, 22596, 23328, 32190, 22596, 22596, 32190, 32190, 32190], 0x19cc929a1bac8ab7),
+    ("branch_random", [8987, 11715, 11112, 8987, 11329, 11715, 8987, 8987, 11715, 11715, 11715], 0x986d7fcca31503d3),
+    ("alu_dense", [3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206], 0x17104eecfe804ef7),
+    ("gather", [3333, 4542, 25027, 25899, 26673, 27436, 13269, 3469, 28176, 3333, 3333], 0x4223b2a04241af00),
+    ("stencil_rw", [1111, 1111, 1111, 1111, 1117, 1111, 1111, 1111, 2361, 1111, 1111], 0x380691b0e4dfbf45),
+    ("hot_reuse", [1962, 1978, 5364, 1962, 5866, 5860, 1962, 1962, 7508, 1962, 1962], 0x20fc5f2340dfe82a),
+    ("write_burst", [31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207], 0x317dbaa8df808b20),
+    ("call_tree", [710, 711, 711, 710, 716, 711, 710, 710, 1909, 711, 711], 0xba0d13a305fcd977),
+    ("chase_branchy", [151117, 181688, 170202, 167174, 427650, 181688, 167174, 167174, 181688, 181688, 181688], 0x47f90dab4e5a6259),
+    ("mixed", [2136, 4955, 6757, 2843, 7393, 11113, 2869, 2474, 11654, 4728, 4954], 0xa85116136cbd004b),
+    ("matrix_block", [1023, 1023, 1025, 1023, 1171, 1174, 1023, 1023, 4081, 1022, 1022], 0xfd999030727cca95),
+    ("byte_scan", [5257, 14441, 11591, 5257, 10840, 14441, 5257, 5257, 14441, 14441, 14441], 0x6cb7b95b114ab451),
+    ("random_rw", [1944, 2450, 12636, 1944, 24102, 24104, 1944, 1944, 24838, 1944, 1944], 0x4a9ebe86eed253b7),
+    ("reduction", [9469, 9532, 15907, 9469, 17182, 17177, 9469, 9469, 25305, 9532, 9532], 0xd4797c697b2886f8),
+    ("lock_counter", [535, 535, 535, 535, 535, 535, 535, 535, 535, 535, 535], 0x56220da8419534d4),
+    ("cas_queue", [2925, 4560, 3853, 2925, 2957, 2866, 4080, 4538, 2468, 2990, 2944], 0xe96e3f54fdf848c8),
+    ("spin_relay", [120728, 121344, 120728, 120728, 120797, 121228, 120728, 120728, 120712, 120726, 120726], 0x03a903d85e0025b2),
 ];
 
 #[test]
@@ -156,10 +173,10 @@ fn golden_cycles_and_stats_are_pinned() {
         .flat_map(|(cores, w)| {
             golden_configs(cores)
                 .into_iter()
-                .map(move |c| (w.clone(), c))
+                .map(move |(c, mask)| (w.clone(), c, mask))
         })
         .collect();
-    let runs = par_map(2, &jobs, |_, (w, cfg)| run_once(cfg, w));
+    let runs = par_map(2, &jobs, |_, (w, cfg, mask)| run_once(cfg, *mask, w));
     let got: Vec<String> = jobs
         .chunks(GOLDEN_COLS)
         .zip(runs.chunks(GOLDEN_COLS))
