@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use pl_attack::{leakage_json, leakage_sweep, SweepOptions};
+use pl_base::MAX_CORES;
 use pl_workloads::attack::Gadget;
 
 fn usage() -> ! {
@@ -65,7 +66,13 @@ fn main() -> ExitCode {
             "--cores" => {
                 let raw: String = parse("--cores", args.next());
                 let parsed: Option<Vec<usize>> = raw.split(',').map(|s| s.parse().ok()).collect();
-                cores = Some(parsed.unwrap_or_else(|| usage()));
+                let parsed = parsed.unwrap_or_else(|| usage());
+                // A scenario needs an observer and a victim core.
+                if let Some(n) = parsed.iter().find(|n| !(2..=MAX_CORES).contains(*n)) {
+                    eprintln!("pl-attack: --cores {n} is out of range (2..={MAX_CORES})");
+                    return ExitCode::from(2);
+                }
+                cores = Some(parsed);
             }
             "--rounds" => rounds = Some(parse("--rounds", args.next())),
             "--cal-rounds" => cal_rounds = Some(parse("--cal-rounds", args.next())),

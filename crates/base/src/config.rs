@@ -434,7 +434,7 @@ impl Default for TraceConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Number of cores.
+    /// Number of cores, at most [`MAX_CORES`].
     pub num_cores: usize,
     /// Core pipeline parameters.
     pub core: CoreConfig,
@@ -469,6 +469,10 @@ pub struct MachineConfig {
     pub verify: crate::verify::VerifyConfig,
 }
 
+/// The most cores a machine may have: the directory tracks a line's
+/// sharers in a bitmap of one bit per core.
+pub const MAX_CORES: usize = 64;
+
 impl MachineConfig {
     /// The paper's single-core setup used for SPEC17 (Table 1).
     pub fn default_single_core() -> MachineConfig {
@@ -501,11 +505,15 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first inconsistency found:
-    /// zero-sized structures, non-power-of-two cache geometry, a store
-    /// queue larger than the ROB, or Early Pinning with a zero W_d.
+    /// zero-sized structures, more cores than [`MAX_CORES`],
+    /// non-power-of-two cache geometry, a store queue larger than the ROB,
+    /// or Early Pinning with a zero W_d.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cores == 0 {
             return Err(ConfigError::ZeroCores);
+        }
+        if self.num_cores > MAX_CORES {
+            return Err(ConfigError::TooManyCores(self.num_cores));
         }
         if self.core.rob_entries == 0
             || self.core.lq_entries == 0
@@ -612,6 +620,9 @@ impl Default for MachineConfig {
 pub enum ConfigError {
     /// The machine has no cores.
     ZeroCores,
+    /// The machine has more cores than [`MAX_CORES`], the most the
+    /// directory's sharer bitmap can track.
+    TooManyCores(usize),
     /// A core queue (ROB/LQ/SQ/write buffer) has zero entries.
     ZeroQueue,
     /// A pipeline width is zero.
@@ -643,6 +654,10 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroCores => write!(f, "machine must have at least one core"),
+            ConfigError::TooManyCores(n) => write!(
+                f,
+                "machine has {n} cores, but the directory's sharer bitmap tracks at most {MAX_CORES}"
+            ),
             ConfigError::ZeroQueue => write!(f, "core queues must have at least one entry"),
             ConfigError::ZeroWidth => write!(f, "pipeline widths must be at least one"),
             ConfigError::QueueLargerThanRob => {
@@ -747,6 +762,18 @@ mod tests {
         let mut cfg = MachineConfig::default_single_core();
         cfg.num_cores = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroCores));
+    }
+
+    #[test]
+    fn validate_rejects_more_cores_than_the_sharer_bitmap() {
+        assert!(MachineConfig::default_multi_core(MAX_CORES)
+            .validate()
+            .is_ok());
+        for n in [MAX_CORES + 1, 4_000_000_000] {
+            let cfg = MachineConfig::default_multi_core(n);
+            assert_eq!(cfg.validate(), Err(ConfigError::TooManyCores(n)));
+            assert!(cfg.validate().unwrap_err().to_string().contains("64"));
+        }
     }
 
     #[test]

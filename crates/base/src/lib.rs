@@ -32,7 +32,7 @@ pub mod verify;
 pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
 pub use config::{
     CacheConfig, ConfigError, CoreConfig, CptConfig, CstConfig, DefenseScheme, MachineConfig,
-    MemConfig, PinMode, PinnedLoadsConfig, ThreatModel, TraceConfig,
+    MemConfig, PinMode, PinnedLoadsConfig, ThreatModel, TraceConfig, MAX_CORES,
 };
 pub use queue::CircQueue;
 pub use rng::SimRng;

@@ -6,20 +6,39 @@ use pl_mem::{Memory, Msg};
 use pl_secure::PinState;
 use pl_trace::EventKind;
 
+use super::vp::Aggregates;
 use super::Core;
+use crate::dyninst::LqEntry;
+
+/// The filters a load-issue visit applies before the scheme check: the
+/// load has not bound its value, is not waiting on a fill, knows its
+/// address, and is not younger than the oldest active fence (loads
+/// younger than an active fence must not issue).
+fn awaits_issue(e: &LqEntry, aggr: &Aggregates) -> bool {
+    !e.performed()
+        && !e.waiting_fill
+        && e.addr.is_some()
+        && aggr.oldest_active_fence.is_none_or(|f| f >= e.seq)
+}
 
 impl Core {
     /// The load-issue pass: applies the defense scheme's policy, performs
     /// store-to-load forwarding, and accesses the L1.
+    ///
+    /// Under a scheme that holds every pre-VP load (Fence), every load
+    /// past the VP frontier is held, so the pass visits only the LQ
+    /// prefix up to the frontier and charges the rest to `stall.vp` in
+    /// one count.
     pub(super) fn issue_loads(&mut self, now: Cycle, image: &mut Memory) -> bool {
         let mut active = false;
         let mut ports = 3usize; // L1-D read ports (Table 1)
         let aggr = self.aggr;
+        let held_from = self.held_from(&aggr);
         let mut i = 0usize;
         // Visits can squash an LQ suffix (validation mismatch); the
         // bound is re-read every iteration, so a truncated tail is
         // simply never reached.
-        while i < self.lq.len() && ports > 0 {
+        while i < held_from.min(self.lq.len()) && ports > 0 {
             'load: {
                 let e = &self.lq[i];
                 let seq = e.seq;
@@ -32,16 +51,10 @@ impl Core {
                     }
                     break 'load;
                 }
-                if e.performed() || e.waiting_fill {
+                if !awaits_issue(e, &aggr) {
                     break 'load;
                 }
-                let Some(addr) = e.addr else {
-                    break 'load;
-                };
-                // Loads younger than an active fence must not issue.
-                if aggr.oldest_active_fence.is_some_and(|f| f < seq) {
-                    break 'load;
-                }
+                let addr = e.addr.expect("a load awaiting issue has an address");
                 let line = addr.line();
                 let status = self.vp_status_for(i, &aggr);
                 let vp_reached = self.vp_mask.reached(status);
@@ -96,7 +109,41 @@ impl Core {
             }
             i += 1;
         }
+        // A held load takes no port, so a visit per load would have
+        // reached the suffix exactly when the prefix left a port.
+        if ports > 0 && held_from < self.lq.len() {
+            debug_assert!(
+                self.held_past_frontier(held_from, &aggr),
+                "a load counted as held past the VP frontier reached its VP or is not held"
+            );
+            let held = self.lq[held_from..]
+                .iter()
+                .filter(|e| awaits_issue(e, &aggr))
+                .count();
+            self.stats.add_id(self.ids.stall_vp, held as u64);
+        }
         active
+    }
+
+    /// LQ index of the first load strictly younger than the VP frontier
+    /// when the scheme holds every pre-VP load; the LQ length otherwise,
+    /// or while there is no frontier.
+    fn held_from(&self, aggr: &Aggregates) -> usize {
+        if !self.holds_every_pre_vp_load() {
+            return self.lq.len();
+        }
+        self.vp_frontier(aggr)
+            .map_or(self.lq.len(), |f| self.lq.partition_point(|e| e.seq <= f))
+    }
+
+    /// Whether every load that the bulk count charges from LQ index
+    /// `from` on is short of its VP and held by the scheme (debug-build
+    /// oracle for [`Core::issue_loads`], in the style of
+    /// [`Core::aggregates_reference`]).
+    fn held_past_frontier(&self, from: usize, aggr: &Aggregates) -> bool {
+        (from..self.lq.len())
+            .filter(|&i| awaits_issue(&self.lq[i], aggr))
+            .all(|i| !self.vp_reached(i) && self.holds_pre_vp_load(i))
     }
 
     /// The youngest store older than `seq` that writes the word at

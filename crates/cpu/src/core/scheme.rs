@@ -23,10 +23,6 @@ impl Core {
         line: LineAddr,
         vp_reached: bool,
     ) -> Option<bool> {
-        let address_tainted = self.policy.tracks_taint()
-            && self
-                .rob_entry(self.lq[i].seq)
-                .is_some_and(|d| self.srcs_tainted(&d.srcs));
         // Only Delay-On-Miss consults residency to *decide*; for every
         // other scheme the probe is deferred past the issue decision, so a
         // blocked load polling here each cycle never touches the L1 set.
@@ -34,7 +30,7 @@ impl Core {
         let ctx = LoadContext {
             vp_reached,
             l1_hit: self.policy.consults_l1() && l1_hit(self),
-            address_tainted,
+            address_tainted: self.address_tainted(i),
         };
         if let Err(block) = self.policy.may_issue(ctx) {
             let key = match block {
@@ -52,9 +48,38 @@ impl Core {
         })
     }
 
+    /// Whether the scheme holds every load short of its VP whatever its
+    /// L1 residency or taint (Fence), so the load-issue pass may count the
+    /// loads past the VP frontier as held instead of visiting them.
+    pub(super) fn holds_every_pre_vp_load(&self) -> bool {
+        self.policy.holds_every_pre_vp_load()
+    }
+
+    /// Whether the scheme would hold LQ entry `i`, were it short of its
+    /// VP, with its true L1 residency and taint: the second half of the
+    /// debug-build oracle for the load-issue pass's bulk count.
+    pub(super) fn holds_pre_vp_load(&self, i: usize) -> bool {
+        let line = self.lq[i].line().expect("a held load has an address");
+        let ctx = LoadContext {
+            vp_reached: false,
+            l1_hit: self.l1.peek(line).is_some_and(|s| s.readable()),
+            address_tainted: self.address_tainted(i),
+        };
+        self.policy.may_issue(ctx) == Err(IssueBlock::WaitVp)
+    }
+
     // ------------------------------------------------------------------
     // STT taint
     // ------------------------------------------------------------------
+
+    /// STT: whether a register feeding the address of LQ entry `i` is
+    /// tainted. Always `false` under every other scheme.
+    fn address_tainted(&self, i: usize) -> bool {
+        self.policy.tracks_taint()
+            && self
+                .rob_entry(self.lq[i].seq)
+                .is_some_and(|d| self.srcs_tainted(&d.srcs))
+    }
 
     /// STT: a load that binds its value before its VP taints the
     /// instructions that consume it.

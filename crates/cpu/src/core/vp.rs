@@ -139,6 +139,24 @@ impl Core {
         self.vp_mask.reached(self.vp_status_for(i, &self.aggr))
     }
 
+    /// The VP frontier: the oldest of the aggregates the VP mask checks,
+    /// in program order — an unresolved control instruction (ctrl), an
+    /// unknown store address (alias) or an unknown memory address
+    /// (exception). Every load strictly younger than it is short of its
+    /// VP. MCV is per load and takes no part. `None` while no checked
+    /// condition is pending.
+    pub(super) fn vp_frontier(&self, aggr: &Aggregates) -> Option<SeqNum> {
+        let mask = self.vp_mask;
+        [
+            (mask.ctrl, aggr.oldest_unresolved_ctrl),
+            (mask.alias, aggr.oldest_unknown_store_addr),
+            (mask.exception, aggr.oldest_unknown_mem_addr),
+        ]
+        .into_iter()
+        .filter_map(|(checked, oldest)| oldest.filter(|_| checked))
+        .min()
+    }
+
     /// Trace-only LQ scan: attributes each load's VP progress to the
     /// first still-blocking condition and emits `VpBlocked` on every
     /// blocker transition and `VpClear` once the VP is reached. Runs only

@@ -44,9 +44,13 @@ use crate::PinView;
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharerSet(u64);
 
+// The bitmap is one `u64`, so the machine-wide core limit must fit it.
+const _: () = assert!(SharerSet::MAX_CORES <= u64::BITS as usize);
+
 impl SharerSet {
-    /// Largest core index a sharer bitmap can track.
-    pub const MAX_CORES: usize = 64;
+    /// The most cores a sharer bitmap can track, one bit each: the
+    /// machine-wide limit [`pl_base::MAX_CORES`].
+    pub const MAX_CORES: usize = pl_base::MAX_CORES;
 
     /// The empty set.
     pub fn new() -> SharerSet {

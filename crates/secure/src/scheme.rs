@@ -133,6 +133,14 @@ impl IssuePolicy {
     pub fn consults_l1(&self) -> bool {
         self.scheme == DefenseScheme::Dom
     }
+
+    /// Returns `true` if [`IssuePolicy::may_issue`] holds every load short
+    /// of its VP with [`IssueBlock::WaitVp`], whatever its L1 residency or
+    /// taint (only Fence). A caller that knows a load is short of its VP
+    /// can then count it as held without asking.
+    pub fn holds_every_pre_vp_load(&self) -> bool {
+        self.scheme == DefenseScheme::Fence
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +217,24 @@ mod tests {
             address_tainted: true,
         };
         assert!(p.may_issue(tainted_at_vp).is_ok());
+    }
+
+    #[test]
+    fn holds_every_pre_vp_load_agrees_with_may_issue() {
+        for scheme in DefenseScheme::ALL {
+            let p = IssuePolicy::new(scheme);
+            let held = [(false, false), (false, true), (true, false), (true, true)]
+                .into_iter()
+                .all(|(l1_hit, address_tainted)| {
+                    let ctx = LoadContext {
+                        vp_reached: false,
+                        l1_hit,
+                        address_tainted,
+                    };
+                    p.may_issue(ctx) == Err(IssueBlock::WaitVp)
+                });
+            assert_eq!(p.holds_every_pre_vp_load(), held, "{scheme}");
+        }
     }
 
     #[test]

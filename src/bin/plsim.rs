@@ -8,7 +8,9 @@
 //! plsim --asm kernel.s --scheme stt --pin ep --stats
 //! ```
 
-use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, ThreatModel};
+use pinned_loads::base::{
+    ConfigError, DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, ThreatModel,
+};
 use pinned_loads::machine::Machine;
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
 
@@ -187,7 +189,11 @@ fn build_config(args: &Args) -> MachineConfig {
     cfg.pinned_loads = PinnedLoadsConfig::with_mode(args.pin);
     cfg.core.conservative_tso = args.conservative_tso;
     if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
+        let flag = match e {
+            ConfigError::TooManyCores(_) => "--cores: ",
+            _ => "",
+        };
+        eprintln!("invalid configuration: {flag}{e}");
         std::process::exit(2);
     }
     cfg
@@ -240,8 +246,10 @@ fn main() {
         }
         return;
     }
-    let (name, workload) = build_workload(&args);
+    // The configuration is validated first: a workload is generated for
+    // `--cores` cores, so an out-of-range count must stop before it.
     let cfg = build_config(&args);
+    let (name, workload) = build_workload(&args);
     let mut machine = Machine::new(&cfg).expect("validated configuration");
     workload.install(&mut machine);
     match machine.run(5_000_000_000) {
