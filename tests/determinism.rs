@@ -9,6 +9,7 @@ use pinned_loads::bench::sweep::par_map;
 use pinned_loads::machine::{Machine, RunResult};
 use pinned_loads::secure::VpMask;
 use pinned_loads::workloads::{parallel_suite, spec_suite, Scale, Workload};
+use pl_verify::faulted;
 
 /// Runs `w` under `cfg`, with `mask` overriding the threat model's VP
 /// mask when given (the Figure 1 release points). The mask is set after
@@ -89,7 +90,10 @@ fn multicore_runs_are_bit_identical() {
 /// each load's VP, whose MCV condition differs per mode. Fence without
 /// pinning runs under the Comprehensive and Spectre threat models and
 /// under Figure 1's "Alias Dep." mask, so each VP condition it waits on
-/// is pinned on its own.
+/// is pinned on its own. The last column repeats Fence/EP under seeded
+/// NoC fault injection (directory-bound messages jittered by up to 9
+/// cycles, each `(src, dst)` pair kept FIFO), so a change to the
+/// injector's delivery order moves cycles, not only invariants.
 fn golden_configs(cores: usize) -> Vec<(MachineConfig, Option<VpMask>)> {
     use DefenseScheme::*;
     use PinMode::*;
@@ -108,7 +112,7 @@ fn golden_configs(cores: usize) -> Vec<(MachineConfig, Option<VpMask>)> {
         (Fence, Off, false, Spectre, None),
         (Fence, Off, false, Comprehensive, Some(alias_dep)),
     ];
-    points
+    let mut configs: Vec<_> = points
         .into_iter()
         .map(|(scheme, mode, conservative, threat, mask)| {
             let mut cfg = if cores == 1 {
@@ -122,7 +126,10 @@ fn golden_configs(cores: usize) -> Vec<(MachineConfig, Option<VpMask>)> {
             cfg.threat_model = threat;
             (cfg, mask)
         })
-        .collect()
+        .collect();
+    let fence_ep = configs[1].0.clone();
+    configs.push((faulted(fence_ep, 0xFA017, 9), None));
+    configs
 }
 
 /// Per workload: cycles under each of [`golden_configs`], then one FNV
@@ -130,7 +137,7 @@ fn golden_configs(cores: usize) -> Vec<(MachineConfig, Option<VpMask>)> {
 type GoldenRow = (&'static str, [u64; GOLDEN_COLS], u64);
 
 /// Columns of [`GOLDEN`]: one per [`golden_configs`] point.
-const GOLDEN_COLS: usize = 11;
+const GOLDEN_COLS: usize = 12;
 
 /// Absolute timing of a small matrix, so a change that shifts a single
 /// cycle anywhere in the pipeline fails tier-1 rather than only the
@@ -139,25 +146,25 @@ const GOLDEN_COLS: usize = 11;
 /// pinned sharer defers, so it pins the atomic Abort and GetX* retry.
 #[rustfmt::skip]
 const GOLDEN: &[GoldenRow] = &[
-    ("stream", [7668, 8294, 61211, 7668, 61815, 61810, 7668, 7668, 64807, 7668, 7668], 0xa457d473b1ee88fe),
-    ("chase_cold", [232198, 240366, 239922, 232198, 426938, 240366, 232198, 232198, 240366, 240366, 240366], 0x3a8ee01240c432a7),
-    ("chase_hot", [22596, 32190, 22840, 22596, 23328, 32190, 22596, 22596, 32190, 32190, 32190], 0x19cc929a1bac8ab7),
-    ("branch_random", [8987, 11715, 11112, 8987, 11329, 11715, 8987, 8987, 11715, 11715, 11715], 0x986d7fcca31503d3),
-    ("alu_dense", [3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206], 0x17104eecfe804ef7),
-    ("gather", [3333, 4542, 25027, 25899, 26673, 27436, 13269, 3469, 28176, 3333, 3333], 0x4223b2a04241af00),
-    ("stencil_rw", [1111, 1111, 1111, 1111, 1117, 1111, 1111, 1111, 2361, 1111, 1111], 0x380691b0e4dfbf45),
-    ("hot_reuse", [1962, 1978, 5364, 1962, 5866, 5860, 1962, 1962, 7508, 1962, 1962], 0x20fc5f2340dfe82a),
-    ("write_burst", [31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207], 0x317dbaa8df808b20),
-    ("call_tree", [710, 711, 711, 710, 716, 711, 710, 710, 1909, 711, 711], 0xba0d13a305fcd977),
-    ("chase_branchy", [151117, 181688, 170202, 167174, 427650, 181688, 167174, 167174, 181688, 181688, 181688], 0x47f90dab4e5a6259),
-    ("mixed", [2136, 4955, 6757, 2843, 7393, 11113, 2869, 2474, 11654, 4728, 4954], 0xa85116136cbd004b),
-    ("matrix_block", [1023, 1023, 1025, 1023, 1171, 1174, 1023, 1023, 4081, 1022, 1022], 0xfd999030727cca95),
-    ("byte_scan", [5257, 14441, 11591, 5257, 10840, 14441, 5257, 5257, 14441, 14441, 14441], 0x6cb7b95b114ab451),
-    ("random_rw", [1944, 2450, 12636, 1944, 24102, 24104, 1944, 1944, 24838, 1944, 1944], 0x4a9ebe86eed253b7),
-    ("reduction", [9469, 9532, 15907, 9469, 17182, 17177, 9469, 9469, 25305, 9532, 9532], 0xd4797c697b2886f8),
-    ("lock_counter", [535, 535, 535, 535, 535, 535, 535, 535, 535, 535, 535], 0x56220da8419534d4),
-    ("cas_queue", [2925, 4560, 3853, 2925, 2957, 2866, 4080, 4538, 2468, 2990, 2944], 0xe96e3f54fdf848c8),
-    ("spin_relay", [120728, 121344, 120728, 120728, 120797, 121228, 120728, 120728, 120712, 120726, 120726], 0x03a903d85e0025b2),
+    ("stream", [7668, 8294, 61211, 7668, 61815, 61810, 7668, 7668, 64807, 7668, 7668, 8800], 0x4596f18bfaeb48da),
+    ("chase_cold", [232198, 240366, 239922, 232198, 426938, 240366, 232198, 232198, 240366, 240366, 240366, 259592], 0x7c867c1adf8acf64),
+    ("chase_hot", [22596, 32190, 22840, 22596, 23328, 32190, 22596, 22596, 32190, 32190, 32190, 32742], 0x936046005cc11d42),
+    ("branch_random", [8987, 11715, 11112, 8987, 11329, 11715, 8987, 8987, 11715, 11715, 11715, 11897], 0xaddb6cceba8b9c6d),
+    ("alu_dense", [3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206, 3206], 0xa44273e0568b1dad),
+    ("gather", [3333, 4542, 25027, 25899, 26673, 27436, 13269, 3469, 28176, 3333, 3333, 4745], 0x54f020197dc7c9e5),
+    ("stencil_rw", [1111, 1111, 1111, 1111, 1117, 1111, 1111, 1111, 2361, 1111, 1111, 1114], 0x0c44927d7ce8f390),
+    ("hot_reuse", [1962, 1978, 5364, 1962, 5866, 5860, 1962, 1962, 7508, 1962, 1962, 2061], 0x3705b83cae042c41),
+    ("write_burst", [31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 31207, 32609], 0x8fb130b547078095),
+    ("call_tree", [710, 711, 711, 710, 716, 711, 710, 710, 1909, 711, 711, 714], 0xb08c9ba844de1792),
+    ("chase_branchy", [151117, 181688, 170202, 167174, 427650, 181688, 167174, 167174, 181688, 181688, 181688, 197805], 0x94a6f98300e4d806),
+    ("mixed", [2136, 4955, 6757, 2843, 7393, 11113, 2869, 2474, 11654, 4728, 4954, 4987], 0x2801b0fb2ebb99df),
+    ("matrix_block", [1023, 1023, 1025, 1023, 1171, 1174, 1023, 1023, 4081, 1022, 1022, 1031], 0xbba132a63a573667),
+    ("byte_scan", [5257, 14441, 11591, 5257, 10840, 14441, 5257, 5257, 14441, 14441, 14441, 14872], 0xc5745b5019bb1265),
+    ("random_rw", [1944, 2450, 12636, 1944, 24102, 24104, 1944, 1944, 24838, 1944, 1944, 2587], 0xb150126497d1bb2f),
+    ("reduction", [9469, 9532, 15907, 9469, 17182, 17177, 9469, 9469, 25305, 9532, 9532, 9831], 0x21f1829245925db7),
+    ("lock_counter", [535, 535, 535, 535, 535, 535, 535, 535, 535, 535, 535, 520], 0x1e59dec97d4f8b24),
+    ("cas_queue", [2925, 4560, 3853, 2925, 2957, 2866, 4080, 4538, 2468, 2990, 2944, 5332], 0x6e188a1b127303e7),
+    ("spin_relay", [120728, 121344, 120728, 120728, 120797, 121228, 120728, 120728, 120712, 120726, 120726, 121736], 0x5ac2acc70deb1228),
 ];
 
 #[test]
