@@ -20,7 +20,6 @@ pub const LINE_SHIFT: u32 = 6;
 /// use pl_base::Addr;
 /// let a = Addr::new(0x1234);
 /// assert_eq!(a.raw(), 0x1234);
-/// assert_eq!(a.line_offset(), 0x34);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
@@ -47,11 +46,6 @@ impl Addr {
     /// ```
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 >> LINE_SHIFT)
-    }
-
-    /// Returns the byte offset of this address within its cache line.
-    pub fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
     }
 
     /// Returns the address advanced by `bytes`.

@@ -448,9 +448,11 @@ pub struct MachineConfig {
     pub pinned_loads: PinnedLoadsConfig,
     /// Cycle-level event tracing (off by default).
     pub trace: TraceConfig,
-    /// Idle-cycle fast-forward: when every component reports a quiet tick,
-    /// the machine jumps directly to the next scheduled event, replaying
-    /// the skipped cycles' statistics in bulk. Architecturally invisible
+    /// Selects the event-driven run loop over the naive one that ticks
+    /// every component every cycle. The event-driven loop skips
+    /// components with nothing due, parks quiet cores and replays their
+    /// statistics in bulk at wake, and jumps `now` to the next event
+    /// when every core is parked or spinning. Architecturally invisible
     /// (bit-identical stats, traces, and retirement order); on by default.
     pub fast_forward: bool,
     /// Spin-loop parking: when an awake core's boundary state repeats

@@ -117,11 +117,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 
-    /// Returns a uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -218,14 +213,5 @@ mod tests {
         let mut child2 = parent2.fork();
         assert_eq!(child1.next_u64(), child2.next_u64());
         assert_ne!(child1.next_u64(), parent1.next_u64());
-    }
-
-    #[test]
-    fn gen_f64_in_unit_interval() {
-        let mut rng = SimRng::new(11);
-        for _ in 0..100 {
-            let f = rng.gen_f64();
-            assert!((0.0..1.0).contains(&f));
-        }
     }
 }

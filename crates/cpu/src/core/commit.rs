@@ -91,7 +91,6 @@ impl Core {
             // architectural, hence untainted.
             self.taint_dirty |= tainted;
             self.rob.pop_front();
-            self.issue_flags.pop_front();
             self.retired += 1;
             self.tracer.emit(EventKind::Retire {
                 seq,

@@ -6,7 +6,6 @@ use pl_isa::{Inst, Pc};
 use pl_secure::PinState;
 use pl_trace::EventKind;
 
-use super::issue::{ISSUE_CHECK, ISSUE_PARKED, ISSUE_SKIP};
 use super::Core;
 use crate::dyninst::{DynInst, LqEntry, PredInfo, SqEntry, SrcList, Stage};
 
@@ -142,12 +141,10 @@ impl Core {
                 issue_blocked_on: None,
                 first_waiter: None,
                 next_waiter: None,
+                parked: false,
                 tainted: false,
             });
-            if f.inst.is_atomic() {
-                self.issue_flags.push_back(ISSUE_SKIP);
-            } else {
-                self.issue_flags.push_back(ISSUE_CHECK);
+            if !f.inst.is_atomic() {
                 // New entries carry the highest seq, so program order
                 // is preserved by appending.
                 self.issue_queue.push_back(seq);
@@ -194,8 +191,7 @@ impl Core {
                 break;
             }
             let e = self.rob.pop_back().expect("back checked");
-            let f = self.issue_flags.pop_back().expect("mirror in lockstep");
-            if f == ISSUE_PARKED {
+            if e.parked {
                 // Keep the waiter chains free of dead links: the chain
                 // walk at wake and the dense-offset lookups rely on
                 // every linked waiter being live.

@@ -11,16 +11,14 @@ use pl_secure::PinState;
 use pl_trace::EventKind;
 
 use super::Core;
-use crate::dyninst::Stage;
+use crate::dyninst::{DynInst, Stage};
 
-/// `issue_flags` value: entry needs no further attention from the
-/// non-memory issue pass.
-pub(super) const ISSUE_SKIP: u8 = 0;
-/// `issue_flags` value: entry must be examined every cycle.
-pub(super) const ISSUE_CHECK: u8 = 1;
-/// `issue_flags` value: entry waits on `issue_blocked_on`; examine only
-/// after a completion.
-pub(super) const ISSUE_PARKED: u8 = 2;
+/// Whether the non-memory issue pass keeps `e` in `issue_queue`: it is
+/// still `Dispatched`, its arm is not done, and it is not parked on a
+/// producer's waiter chain.
+fn stays_queued(e: &DynInst) -> bool {
+    e.stage == Stage::Dispatched && !e.issue_done && !e.parked
+}
 
 impl Core {
     pub(super) fn issue(&mut self, now: Cycle, image: &mut Memory) -> bool {
@@ -28,32 +26,31 @@ impl Core {
         let mut budget = self.cfg.core.issue_width;
         // Non-memory and address-generation issue. Candidates come from
         // `issue_queue`: the program-order sequence numbers of exactly
-        // the `ISSUE_CHECK` entries, maintained incrementally at
-        // dispatch, wake, squash, and at each visit below — so the pass
-        // touches only entries that can possibly make progress, with no
-        // per-tick collection scan. Parked entries never appear here —
-        // their producer's completion flips them back to `ISSUE_CHECK`
-        // via its waiter chain, so a blocked arm is re-run exactly when
-        // its operands may have become ready.
-        debug_assert!(self.issue_flags_consistent());
+        // the entries that satisfy `stays_queued`, maintained
+        // incrementally at dispatch, wake, squash, and at each visit
+        // below — so the pass touches only entries that can possibly
+        // make progress, with no per-tick collection scan. Parked
+        // entries never appear here — their producer's completion
+        // re-queues them via its waiter chain, so a blocked arm is re-run
+        // exactly when its operands may have become ready.
+        debug_assert!(self.issue_queue_consistent());
         let mut qi = 0usize;
         // Unexamined candidates past the issue width stay queued and
         // are revisited next cycle, exactly as a full scan would
         // revisit them.
         while qi < self.issue_queue.len() && budget > 0 {
             let seq = self.issue_queue[qi];
-            // A queued (`ISSUE_CHECK`) entry cannot have retired —
-            // completion demotes the flag and dequeues first — so its
-            // ROB slot is stable for the whole pass (no retirement here,
-            // and squashes only remove younger entries).
+            // A queued entry cannot have retired — it leaves the queue
+            // before it completes — so its ROB slot is stable for the
+            // whole pass (no retirement here, and squashes only remove
+            // younger entries).
             let idx = self.rob_slot(seq).expect("queued entries are in flight");
             'entry: {
                 let e = &self.rob[idx];
                 debug_assert_eq!(e.seq, seq);
                 if e.stage != Stage::Dispatched || e.issue_done {
-                    // Progressed through another path since the flag was
-                    // set; drop the entry from future scans.
-                    self.issue_flags[idx] = ISSUE_SKIP;
+                    // Progressed through another path since it was
+                    // queued; dropped from future scans below.
                     break 'entry;
                 }
                 if let Some(p) = e.issue_blocked_on {
@@ -81,7 +78,6 @@ impl Core {
                         if ready {
                             debug_assert!(self.rob[idx].first_waiter.is_none());
                             self.rob[idx].stage = Stage::Completed;
-                            self.issue_flags[idx] = ISSUE_SKIP;
                             active = true;
                         }
                     }
@@ -106,7 +102,6 @@ impl Core {
                         };
                         self.rob[idx].result = Some(op.apply(a, b));
                         self.start_exec(seq, now + lat);
-                        self.issue_flags[idx] = ISSUE_SKIP;
                         budget -= 1;
                         active = true;
                     }
@@ -117,13 +112,11 @@ impl Core {
                             break 'entry;
                         }
                         self.start_exec(seq, now + 1);
-                        self.issue_flags[idx] = ISSUE_SKIP;
                         budget -= 1;
                         active = true;
                     }
                     Inst::Jump { .. } | Inst::Call { .. } | Inst::Ret => {
                         self.start_exec(seq, now + 1);
-                        self.issue_flags[idx] = ISSUE_SKIP;
                         budget -= 1;
                         active = true;
                     }
@@ -138,7 +131,6 @@ impl Core {
                             // load is squashed outright), so this pass is done
                             // with the entry; issue_loads takes it from here.
                             self.rob[idx].issue_done = true;
-                            self.issue_flags[idx] = ISSUE_SKIP;
                             break 'entry;
                         }
                         let Some(b) = self.operand_or_park(idx, base) else {
@@ -146,7 +138,6 @@ impl Core {
                         };
                         self.lq[lq_idx].addr = Some(Addr::new(b.wrapping_add(offset as u64)));
                         self.rob[idx].issue_done = true;
-                        self.issue_flags[idx] = ISSUE_SKIP;
                         budget -= 1;
                         active = true;
                     }
@@ -185,7 +176,6 @@ impl Core {
                                     .is_some_and(|e| e.stage == Stage::Dispatched)
                             {
                                 self.start_exec(seq, now + 1);
-                                self.issue_flags[idx] = ISSUE_SKIP;
                                 active = true;
                             }
                         }
@@ -203,7 +193,7 @@ impl Core {
             if self.issue_queue.get(qi).copied() != Some(seq) {
                 continue;
             }
-            if self.issue_flags[idx] == ISSUE_CHECK {
+            if stays_queued(&self.rob[idx]) {
                 qi += 1;
             } else {
                 self.issue_queue.remove(qi);
@@ -239,23 +229,22 @@ impl Core {
             if !self.rob[pidx].completed() {
                 // Park until the producer completes: link this entry
                 // into the producer's waiter chain, whose walk at
-                // completion flips the flag back to `ISSUE_CHECK`.
+                // completion re-queues it.
                 let seq = self.rob[idx].seq;
                 debug_assert!(self.rob[idx].next_waiter.is_none());
                 let prev = self.rob[pidx].first_waiter.replace(seq);
                 self.rob[idx].next_waiter = prev;
-                self.issue_flags[idx] = ISSUE_PARKED;
-                return;
+                self.rob[idx].parked = true;
             }
         }
-        // No identifiable in-flight producer (retired, or completed with
-        // no result): re-examine every cycle — the unmemoized behaviour.
-        self.issue_flags[idx] = ISSUE_CHECK;
+        // Otherwise no identifiable in-flight producer (retired, or
+        // completed with no result): the entry stays queued and is
+        // re-examined every cycle — the unmemoized behaviour.
     }
 
     /// Wakes every issue-pass waiter parked on `pseq`, which has just
-    /// completed: clears the chain and flips each waiter's flag back to
-    /// `ISSUE_CHECK` so the next issue pass re-runs its arm.
+    /// completed: clears the chain, unparks each waiter and re-queues it
+    /// so the next issue pass re-runs its arm.
     pub(super) fn wake_waiters(&mut self, pseq: SeqNum) {
         let Some(pidx) = self.rob_slot(pseq) else {
             debug_assert!(self.rob.is_empty(), "completing a retired entry");
@@ -270,7 +259,7 @@ impl Core {
             debug_assert_eq!(waiter.seq, ws);
             debug_assert_eq!(waiter.issue_blocked_on, Some(pseq));
             w = waiter.next_waiter.take();
-            self.issue_flags[widx] = ISSUE_CHECK;
+            waiter.parked = false;
             let pos = self.issue_queue.partition_point(|&s| s < ws);
             debug_assert_ne!(self.issue_queue.get(pos).copied(), Some(ws));
             self.issue_queue.insert(pos, ws);
@@ -297,31 +286,23 @@ impl Core {
         debug_assert!(false, "parked entry missing from its producer's chain");
     }
 
-    /// Debug oracle: checks the flag mirror against the ROB. `ISSUE_SKIP`
-    /// exactly covers entries the issue pass can never act on again, and
-    /// a parked entry always names a live, incomplete producer (its wake
-    /// fires when that producer completes). Also checks that
-    /// `issue_queue` holds exactly the `ISSUE_CHECK` seqs, in program
-    /// order (the ROB is seq-sorted, so element-wise equality covers
-    /// membership and sortedness at once).
-    fn issue_flags_consistent(&self) -> bool {
-        self.issue_flags.len() == self.rob.len()
-            && self.rob.iter().zip(self.issue_flags.iter()).all(|(e, &f)| {
-                if e.stage != Stage::Dispatched || e.issue_done {
-                    f == ISSUE_SKIP
-                } else if f == ISSUE_PARKED {
-                    e.issue_blocked_on
-                        .is_some_and(|p| self.rob_entry(p).is_some_and(|d| !d.completed()))
-                } else {
-                    f == ISSUE_CHECK
-                }
-            })
-            && self.issue_queue.iter().copied().eq(self
-                .rob
-                .iter()
-                .zip(self.issue_flags.iter())
-                .filter(|&(_, &f)| f == ISSUE_CHECK)
-                .map(|(e, _)| e.seq))
+    /// Debug oracle: `issue_queue` holds exactly the seqs of the ROB
+    /// entries that satisfy [`stays_queued`], in program order (the ROB
+    /// is seq-sorted, so element-wise equality covers membership and
+    /// sortedness at once), and every parked entry is one the pass could
+    /// still act on and names a live, incomplete producer (its wake fires
+    /// when that producer completes).
+    fn issue_queue_consistent(&self) -> bool {
+        self.rob.iter().filter(|e| e.parked).all(|e| {
+            e.stage == Stage::Dispatched
+                && !e.issue_done
+                && e.issue_blocked_on
+                    .is_some_and(|p| self.rob_entry(p).is_some_and(|d| !d.completed()))
+        }) && self.issue_queue.iter().copied().eq(self
+            .rob
+            .iter()
+            .filter(|e| stays_queued(e))
+            .map(|e| e.seq))
     }
 
     // ---- operand reading ----

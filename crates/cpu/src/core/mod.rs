@@ -234,24 +234,12 @@ pub struct Core {
     agg_fence: VecDeque<SeqNum>,
     agg_mem: VecDeque<SeqNum>,
     agg_store: VecDeque<SeqNum>,
-    /// One byte per ROB entry, kept in lockstep with `rob` (pushed at
-    /// dispatch, popped at retire/squash), so the non-memory issue pass
-    /// can find its candidates without touching the ~50x larger
-    /// `DynInst` entries. Values: `ISSUE_SKIP` — the pass will never
-    /// act on the entry again (left `Dispatched`, or `issue_done`);
-    /// `ISSUE_CHECK` — re-examine every cycle (unexamined, woken,
-    /// head-gated, or blocked with no identifiable producer);
-    /// `ISSUE_PARKED` — blocked on `issue_blocked_on` and linked into
-    /// that producer's waiter chain, which flips the flag back to
-    /// `ISSUE_CHECK` when the producer completes.
-    issue_flags: VecDeque<u8>,
-    /// Seq-sorted queue of exactly the `ISSUE_CHECK` entries: the
-    /// candidates the non-memory issue pass visits, in program order.
-    /// Maintained incrementally at every flag transition (dispatch and
-    /// wake insert; the pass itself drops entries it demotes; squash
-    /// back-purges), so the pass never scans the ROB or even the flag
-    /// mirror — its cost is proportional to the handful of entries that
-    /// can actually make progress.
+    /// Seq-sorted queue of the candidates the non-memory issue pass
+    /// visits, in program order: exactly the ROB entries that are
+    /// `Dispatched`, not `issue_done` and not `parked`. Dispatch and
+    /// wake insert, the pass drops each entry it leaves otherwise, and
+    /// squash back-purges, so the pass never scans the ROB — its cost is
+    /// proportional to the handful of entries that can make progress.
     issue_queue: VecDeque<SeqNum>,
 }
 
@@ -321,7 +309,6 @@ impl Core {
             agg_fence: VecDeque::with_capacity(cfg.core.rob_entries),
             agg_mem: VecDeque::with_capacity(cfg.core.rob_entries),
             agg_store: VecDeque::with_capacity(cfg.core.rob_entries),
-            issue_flags: VecDeque::with_capacity(cfg.core.rob_entries),
             issue_queue: VecDeque::with_capacity(cfg.core.rob_entries),
         }
     }

@@ -303,7 +303,6 @@ impl Core {
             agg_fence,
             agg_mem,
             agg_store,
-            issue_flags,
             issue_queue,
         } = base;
         *fetch_pc == probe.fetch_pc
@@ -336,7 +335,6 @@ impl Core {
             && *agg_fence == probe.agg_fence
             && *agg_mem == probe.agg_mem
             && *agg_store == probe.agg_store
-            && *issue_flags == probe.issue_flags
             && *issue_queue == probe.issue_queue
     }
 }

@@ -121,6 +121,10 @@ pub struct DynInst {
     /// Next link in the waiter chain this entry is parked on
     /// (single-membership: an entry waits on at most one producer).
     pub next_waiter: Option<SeqNum>,
+    /// Issue-pass memo: this entry is linked into the waiter chain of
+    /// `issue_blocked_on` and left out of the issue queue until that
+    /// producer completes. Squash reads it to unlink the entry.
+    pub parked: bool,
     /// STT: this entry's value is tainted. A load is marked when it
     /// performs before its VP and cleared once it reaches the VP; any
     /// other entry holds the OR of its in-ROB producers' bits. Always
@@ -307,6 +311,7 @@ mod tests {
             issue_blocked_on: None,
             first_waiter: None,
             next_waiter: None,
+            parked: false,
             tainted: false,
         };
         assert!(!d.completed());

@@ -354,12 +354,8 @@ pub struct Machine {
     check_observer: ObserverSlot,
     check_buf: Vec<CheckEvent>,
     next_snapshot: u64,
-    /// Event calendar for the scheduled run loop: per-core park state
-    /// and each slice's cached next timer (re-armed whenever the slice
-    /// handles a message or ticks).
+    /// Per-core park state for the scheduled run loop.
     sched: Vec<CoreSched>,
-    slice_next: Vec<Option<Cycle>>,
-    slice_touched: Vec<bool>,
     /// Per-core spin detector plus its per-tick scratch: which cores
     /// executed a normal `Active` tick this cycle, and which sent or
     /// received a NoC message.
@@ -431,8 +427,6 @@ impl Machine {
             check_buf: Vec::new(),
             next_snapshot: cfg.verify.snapshot_period.max(1),
             sched: (0..cfg.num_cores).map(|_| CoreSched::default()).collect(),
-            slice_next: vec![None; cfg.mem.llc_slices],
-            slice_touched: vec![false; cfg.mem.llc_slices],
             spin_track: (0..cfg.num_cores).map(|_| SpinTrack::default()).collect(),
             spin_ticked: vec![false; cfg.num_cores],
             spin_msg: vec![false; cfg.num_cores],
@@ -487,19 +481,6 @@ impl Machine {
         self.cores[core.index()] = Core::new(core, &self.cfg, program);
     }
 
-    /// Loads the same program on every core (SPMD parallel workloads).
-    pub fn load_program_all(&mut self, program: Program) {
-        let program = Arc::new(program);
-        for i in 0..self.cores.len() {
-            assert_eq!(
-                self.now,
-                Cycle::ZERO,
-                "programs must be loaded before running"
-            );
-            self.cores[i] = Core::new(CoreId(i), &self.cfg, Arc::clone(&program));
-        }
-    }
-
     /// Overrides the Visibility-Point mask on every core (the Figure 1
     /// study's cumulative release points).
     pub fn set_vp_mask(&mut self, mask: VpMask) {
@@ -528,19 +509,16 @@ impl Machine {
         self.image.read(addr)
     }
 
-    /// Advances the machine one cycle. Returns `true` if anything in the
-    /// machine made progress: a message was delivered, a slice timer
-    /// fired, or a core's pipeline changed state. A `false` ("quiet")
-    /// tick repeats identically every cycle until the next scheduled
-    /// event, which is what licenses idle-cycle fast-forward.
-    pub fn tick(&mut self) -> bool {
+    /// Advances the machine one cycle, ticking every component: the
+    /// naive loop's step, which [`Machine::tick_scheduled`] reproduces
+    /// bit for bit.
+    fn tick(&mut self) {
         let now = self.now;
         // 1. Deliver due messages: core-bound first (they may generate
         //    responses), then slice-bound under a pin view of the cores.
         let mut delivered = std::mem::take(&mut self.deliver_buf);
         delivered.clear();
         self.noc.deliver_into(now, &mut delivered);
-        let mut active = !delivered.is_empty();
         let mut slice_bound = std::mem::take(&mut self.slice_bound);
         slice_bound.clear();
         for (_, dst, msg) in delivered.drain(..) {
@@ -557,13 +535,13 @@ impl Machine {
             }
             // 2. Tick slices (DRAM completions, allocation retries).
             for slice in &mut self.slices {
-                active |= slice.tick(now, &pins);
+                slice.tick(now, &pins);
             }
         }
         self.slice_bound = slice_bound;
         // 3. Tick cores.
         for core in &mut self.cores {
-            active |= core.tick(now, &mut self.image);
+            core.tick(now, &mut self.image);
         }
         // 4. Route outboxes through the mesh.
         let mut outbox = std::mem::take(&mut self.outbox_buf);
@@ -584,7 +562,6 @@ impl Machine {
             self.drain_checks(now);
         }
         self.now += 1;
-        active
     }
 
     /// Drains every component's buffered check events (so the sinks never
@@ -674,13 +651,12 @@ impl Machine {
     }
 
     /// The event-driven run loop: per-core parking with lazy statistics
-    /// replay, a slice timer calendar, and a whole-machine time jump when
-    /// every core is parked. See [`Machine::tick_scheduled`] for the
-    /// bit-identity argument.
+    /// replay, slices ticked only when a timer is due, and a
+    /// whole-machine time jump when every core is parked. See
+    /// [`Machine::tick_scheduled`] for the bit-identity argument.
     fn run_scheduled(&mut self, max_cycles: u64) -> Result<RunResult, RunError> {
         let mut rs = RunState::new(self.total_retired(), self.now);
-        // Arm the calendar: all cores active, slice timers polled fresh,
-        // so a run after external `tick()` calls stays correct.
+        // Arm the calendar: all cores active.
         for sched in &mut self.sched {
             sched.state = ParkState::Active;
             sched.wake = None;
@@ -688,9 +664,6 @@ impl Machine {
         }
         for track in &mut self.spin_track {
             *track = SpinTrack::default();
-        }
-        for (s, slot) in self.slice_next.iter_mut().enumerate() {
-            *slot = self.slices[s].next_timer();
         }
         while !self.all_quiesced() {
             if self.now.raw() >= max_cycles {
@@ -794,12 +767,10 @@ impl Machine {
     ///   causes a quiet wake tick followed by re-parking; correctness never
     ///   depends on the bound being tight, only on it never being late.
     /// - **Slices** are pure message reactors between timer firings, so a
-    ///   slice ticks only when its cached next-timer deadline (re-armed
-    ///   after every `handle`/`tick`, which are the only points that can
-    ///   arm a timer — always in the future) is due. Quiet slice ticks
-    ///   touch nothing, so no replay is needed.
-    /// - **NoC** delivery is consulted only when its earliest in-flight
-    ///   deadline (conservative-early, never late) is due.
+    ///   slice ticks only when its earliest timer
+    ///   ([`LlcSlice::next_timer`], a heap peek read after this cycle's
+    ///   deliveries) is due. Quiet slice ticks touch nothing, so no
+    ///   replay is needed.
     /// - **Spinning cores** (see [`SpinTrack`]) are the busy-waiting
     ///   counterpart of parked ones: the detector proved every period of
     ///   the loop repeats exactly, so the core freezes at a verified
@@ -825,9 +796,7 @@ impl Machine {
         //    exact state single-stepping would have produced.
         let mut delivered = std::mem::take(&mut self.deliver_buf);
         delivered.clear();
-        if self.noc.next_delivery().is_some_and(|c| c <= now) {
-            self.noc.deliver_into(now, &mut delivered);
-        }
+        self.noc.deliver_into(now, &mut delivered);
         let mut active = !delivered.is_empty();
         let mut slice_bound = std::mem::take(&mut self.slice_bound);
         slice_bound.clear();
@@ -857,21 +826,13 @@ impl Machine {
         self.deliver_buf = delivered;
         {
             let pins = CorePins(&self.cores);
-            let touched = &mut self.slice_touched;
-            touched.iter_mut().for_each(|t| *t = false);
             for (s, msg) in slice_bound.drain(..) {
                 self.slices[s].handle(msg, now, &pins);
-                touched[s] = true;
             }
-            // 2. Tick only slices whose timer calendar says so; re-arm
-            //    the calendar for every slice touched this cycle.
-            for (s, t) in touched.iter_mut().enumerate() {
-                if self.slice_next[s].is_some_and(|c| c <= now) {
-                    active |= self.slices[s].tick(now, &pins);
-                    *t = true;
-                }
-                if *t {
-                    self.slice_next[s] = self.slices[s].next_timer();
+            // 2. Tick only slices with a timer due.
+            for slice in &mut self.slices {
+                if slice.next_timer().is_some_and(|c| c <= now) {
+                    active |= slice.tick(now, &pins);
                 }
             }
         }
@@ -1224,7 +1185,7 @@ impl Machine {
                 target = target.min(c.raw());
             }
         }
-        for c in self.slice_next.iter().flatten() {
+        for c in self.slices.iter().filter_map(LlcSlice::next_timer) {
             target = target.min(c.raw());
         }
         if target <= now {
@@ -1481,7 +1442,10 @@ mod tests {
         p.atomic_add(r(4), r(2), r(1), 0);
         p.addi(r(3), r(3), -1);
         p.branch(BranchCond::Ne, r(3), Reg::ZERO, top);
-        m.load_program_all(p.build().unwrap());
+        let program = p.build().unwrap();
+        for i in 0..4 {
+            m.load_program(CoreId(i), program.clone());
+        }
         m.run(20_000_000).unwrap();
         assert_eq!(
             m.read_mem(Addr::new(counter)),

@@ -306,15 +306,6 @@ impl<T> Cache<T> {
         None
     }
 
-    /// Returns the valid lines in the set that `line` maps to, least
-    /// recently used first — the victim-candidate order used by the
-    /// directory when it must evict for an allocation.
-    pub fn lru_candidates(&self, line: LineAddr) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.lru_candidates_into(line, &mut out);
-        out.into_iter().map(|(_, l)| l).collect()
-    }
-
     /// Fills `out` with the valid `(lru, line)` pairs of the set that
     /// `line` maps to, least recently used first. The caller owns and
     /// reuses the buffer, so the directory's victim search allocates

@@ -137,17 +137,10 @@ impl MshrFile {
             .unwrap_or_default()
     }
 
-    /// Removes `waiter` from every entry (it was squashed). Entries whose
-    /// waiter list becomes empty are retained: the fill is already in
-    /// flight and will still arrive (the line is simply installed with no
-    /// one to wake).
-    pub fn remove_waiter(&mut self, waiter: SeqNum) {
-        for e in self.entries.values_mut() {
-            e.waiters.retain(|&w| w != waiter);
-        }
-    }
-
     /// Removes all waiters with sequence numbers `>= from` (bulk squash).
+    /// Entries whose waiter list empties are retained: the fill is
+    /// already in flight and still arrives, installing the line with no
+    /// one to wake.
     pub fn squash_younger(&mut self, from: SeqNum) {
         for e in self.entries.values_mut() {
             e.waiters.retain(|&w| w < from);
@@ -221,15 +214,6 @@ mod tests {
         m.allocate(line(1), SeqNum(9), false).unwrap();
         m.squash_younger(SeqNum(6));
         assert_eq!(m.complete(line(1)), vec![SeqNum(5)]);
-    }
-
-    #[test]
-    fn remove_single_waiter() {
-        let mut m = MshrFile::new(2);
-        m.allocate(line(1), SeqNum(5), false).unwrap();
-        m.allocate(line(1), SeqNum(6), false).unwrap();
-        m.remove_waiter(SeqNum(5));
-        assert_eq!(m.complete(line(1)), vec![SeqNum(6)]);
     }
 
     #[test]

@@ -10,34 +10,57 @@
 //! `(src, dst)` pair are delivered in send order, which directory
 //! protocols rely on.
 //!
-//! # Per-pair batching
+//! # Delivery order
 //!
-//! In-flight messages are kept in one FIFO queue per `(src, dst)` pair,
-//! stored in a dense table sized by the highest node index seen. Because
-//! the pair latency is constant and machine time only moves forward,
-//! each pair queue is already sorted by delivery time, so `send` is an
-//! O(1) `push_back` and only the *head* of each non-empty pair sits in a
-//! small ready-heap. The heap therefore holds at most one entry per
-//! active pair (plus transient duplicates after an out-of-order insert)
-//! instead of one per message, and global delivery order — ascending
-//! `(deliver_at, seq)`, i.e. send order among simultaneous arrivals — is
-//! reproduced exactly.
+//! Every in-flight message sits in one min-heap keyed by
+//! `(deliver_at, seq)`, where `seq` is a global send counter: messages
+//! come out in arrival order, and simultaneous arrivals in send order. A
+//! pair's latency is a constant and machine time only moves forward, so
+//! the messages of one pair carry non-decreasing arrival times and
+//! per-pair FIFO holds by construction.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 
 use pl_base::{Cycle, SimRng};
 
 use crate::msg::{Msg, NodeId};
 
-/// One `(src, dst)` channel: messages in flight, sorted by
-/// `(deliver_at, seq)`, plus the latest delivery time ever scheduled on
-/// the pair (used by the fault injector's FIFO clamp; persists after the
-/// queue drains, replacing the old unbounded `last_slice_delivery` map).
-#[derive(Debug, Clone, Default)]
-struct PairQueue {
-    q: VecDeque<(Cycle, u64, Msg)>,
-    last_deliver_at: Cycle,
+/// One message in flight, ordered by `(deliver_at, seq)` alone: `seq` is
+/// unique, so the order is total.
+#[derive(Debug, Clone)]
+struct InFlight {
+    deliver_at: Cycle,
+    seq: u64,
+    src: NodeId,
+    dst: NodeId,
+    msg: Msg,
+}
+
+impl InFlight {
+    fn key(&self) -> (Cycle, u64) {
+        (self.deliver_at, self.seq)
+    }
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &InFlight) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &InFlight) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &InFlight) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// The mesh interconnect.
@@ -66,16 +89,9 @@ pub struct Noc {
     cols: usize,
     rows: usize,
     hop_latency: u64,
-    /// Dense `nodes x nodes` pair table, flat-indexed `src * nodes + dst`.
-    pairs: Vec<PairQueue>,
-    /// Side length of the pair table (number of dense node slots).
-    nodes: usize,
-    /// Heads of non-empty pair queues: `(deliver_at, seq, src, dst)`
-    /// dense indices. May contain stale entries (lazily discarded on
-    /// pop), but the true earliest head is always present.
-    ready: BinaryHeap<Reverse<(Cycle, u64, u32, u32)>>,
+    /// Every message in flight, earliest `(deliver_at, seq)` on top.
+    in_flight: BinaryHeap<Reverse<InFlight>>,
     next_seq: u64,
-    in_flight: usize,
     messages_sent: u64,
     hops_traversed: u64,
     faults: Option<FaultInjector>,
@@ -93,38 +109,19 @@ pub struct Noc {
 /// violating it would inject *illegal* schedules and false alarms.
 ///
 /// Per-`(src, dst)` FIFO order is preserved by clamping each jittered
-/// delivery to the latest delivery already scheduled for that pair; the
-/// clamp state lives in the dense pair table, so fault injection adds no
-/// per-pair bookkeeping that could grow over a run.
+/// delivery to the latest delivery already scheduled for that pair.
 #[derive(Debug, Clone)]
 struct FaultInjector {
     rng: SimRng,
     max_extra_delay: u64,
-}
-
-/// Dense index of a node: cores on even slots, slices on odd, so any mix
-/// of core and slice ids maps into one table without knowing either
-/// population in advance.
-fn node_idx(node: NodeId) -> usize {
-    match node {
-        NodeId::Core(c) => 2 * c.index(),
-        NodeId::Slice(s) => 2 * s + 1,
-    }
-}
-
-fn node_of(idx: usize) -> NodeId {
-    if idx.is_multiple_of(2) {
-        NodeId::Core(pl_base::CoreId(idx / 2))
-    } else {
-        NodeId::Slice(idx / 2)
-    }
+    /// Latest delivery scheduled on each directory-bound pair: at most
+    /// one entry per `(src, slice)` pair of the machine.
+    last_deliver_at: HashMap<(NodeId, NodeId), Cycle>,
 }
 
 impl Noc {
     /// Creates a mesh of `cols` x `rows` tiles with the given per-hop
-    /// latency. The pair table starts empty and grows to fit the highest
-    /// node index that actually communicates; use [`Noc::with_nodes`] to
-    /// size it once up front.
+    /// latency.
     ///
     /// # Panics
     ///
@@ -135,19 +132,17 @@ impl Noc {
             cols,
             rows,
             hop_latency,
-            pairs: Vec::new(),
-            nodes: 0,
-            ready: BinaryHeap::new(),
+            in_flight: BinaryHeap::new(),
             next_seq: 0,
-            in_flight: 0,
             messages_sent: 0,
             hops_traversed: 0,
             faults: None,
         }
     }
 
-    /// Like [`Noc::new`], but pre-sizes the dense pair table for `cores`
-    /// cores and `slices` LLC slices so it never reallocates mid-run.
+    /// Like [`Noc::new`], but reserves the delivery heap for one message
+    /// each way between every core and every LLC slice, so a run rarely
+    /// grows it.
     pub fn with_nodes(
         cols: usize,
         rows: usize,
@@ -156,50 +151,21 @@ impl Noc {
         slices: usize,
     ) -> Noc {
         let mut noc = Noc::new(cols, rows, hop_latency);
-        let hi_core = cores
-            .checked_sub(1)
-            .map(|c| node_idx(NodeId::Core(pl_base::CoreId(c))));
-        let hi_slice = slices.checked_sub(1).map(|s| node_idx(NodeId::Slice(s)));
-        if let Some(hi) = hi_core.max(hi_slice) {
-            noc.grow_to(hi + 1);
-        }
+        noc.in_flight.reserve(2 * cores * slices);
         noc
     }
 
     /// Enables seeded fault injection: every directory-bound message gets
     /// an extra delay in `0..=max_extra_delay` cycles, preserving
-    /// per-pair FIFO order. Same seed, same perturbation.
+    /// per-pair FIFO order. Same seed, same perturbation. Call it before
+    /// the first send: the FIFO clamp only knows the messages sent after
+    /// it.
     pub fn enable_faults(&mut self, seed: u64, max_extra_delay: u64) {
         self.faults = Some(FaultInjector {
             rng: SimRng::new(seed),
             max_extra_delay,
+            last_deliver_at: HashMap::new(),
         });
-    }
-
-    /// Number of allocated `(src, dst)` pair slots. Bounded by the square
-    /// of the dense node count — a diagnostic for tests asserting that
-    /// long runs keep the interconnect's memory footprint flat.
-    pub fn pair_slots(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Entries currently in the ready-heap (at most one per active pair,
-    /// plus transient duplicates; drains back to zero with the queues).
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    fn grow_to(&mut self, nodes: usize) {
-        debug_assert!(nodes > self.nodes);
-        let mut pairs = Vec::new();
-        pairs.resize_with(nodes * nodes, PairQueue::default);
-        for si in 0..self.nodes {
-            for di in 0..self.nodes {
-                pairs[si * nodes + di] = std::mem::take(&mut self.pairs[si * self.nodes + di]);
-            }
-        }
-        self.pairs = pairs;
-        self.nodes = nodes;
     }
 
     fn tile(&self, node: NodeId) -> (usize, usize) {
@@ -224,52 +190,28 @@ impl Noc {
 
     /// Enqueues a message sent at `now`.
     pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, msg: Msg) {
-        let (si, di) = (node_idx(src), node_idx(dst));
-        if si.max(di) >= self.nodes {
-            self.grow_to(si.max(di) + 1);
-        }
         let mut deliver_at = now + self.latency(src, dst);
         self.messages_sent += 1;
         self.hops_traversed += self.hops(src, dst);
-        self.in_flight += 1;
-        let pq = &mut self.pairs[si * self.nodes + di];
         if let Some(f) = &mut self.faults {
             if matches!(dst, NodeId::Slice(_)) {
                 deliver_at += f.rng.gen_range(0..f.max_extra_delay + 1);
                 // Never deliver before an earlier message on the same
                 // pair: directory protocols rely on per-pair FIFO.
-                deliver_at = deliver_at.max(pq.last_deliver_at);
+                let last = f.last_deliver_at.entry((src, dst)).or_default();
+                deliver_at = deliver_at.max(*last);
+                *last = deliver_at;
             }
         }
-        pq.last_deliver_at = pq.last_deliver_at.max(deliver_at);
         let seq = self.next_seq;
         self.next_seq += 1;
-
-        let head = (deliver_at, seq, si as u32, di as u32);
-        match pq.q.back() {
-            None => {
-                pq.q.push_back((deliver_at, seq, msg));
-                self.ready.push(Reverse(head));
-            }
-            Some(&(back_at, _, _)) if back_at <= deliver_at => {
-                // Machine time is monotone, so this is the steady-state
-                // path: the queue stays sorted with a plain append and
-                // the heap is untouched.
-                pq.q.push_back((deliver_at, seq, msg));
-            }
-            Some(_) => {
-                // A send scheduled earlier than the queue tail (only
-                // possible when callers move `now` backwards, e.g. unit
-                // tests): insert in global (deliver_at, seq) order.
-                let pos = pq.q.partition_point(|&(at, _, _)| at <= deliver_at);
-                pq.q.insert(pos, (deliver_at, seq, msg));
-                if pos == 0 {
-                    // New head: the old head's heap entry goes stale and
-                    // is discarded lazily on pop.
-                    self.ready.push(Reverse(head));
-                }
-            }
-        }
+        self.in_flight.push(Reverse(InFlight {
+            deliver_at,
+            seq,
+            src,
+            dst,
+            msg,
+        }));
     }
 
     /// Returns every message whose delivery time is `<= now`, in delivery
@@ -283,43 +225,21 @@ impl Noc {
     /// Like [`Noc::deliver`], but appends into a caller-owned buffer so the
     /// machine's per-tick delivery allocates nothing in steady state.
     pub fn deliver_into(&mut self, now: Cycle, out: &mut Vec<(NodeId, NodeId, Msg)>) {
-        while let Some(&Reverse((at, seq, si, di))) = self.ready.peek() {
-            if at > now {
-                break;
-            }
-            self.ready.pop();
-            let (si, di) = (si as usize, di as usize);
-            let pq = &mut self.pairs[si * self.nodes + di];
-            match pq.q.front() {
-                Some(&(f_at, f_seq, _)) if f_at == at && f_seq == seq => {
-                    let (_, _, msg) = pq.q.pop_front().expect("checked front");
-                    self.in_flight -= 1;
-                    out.push((node_of(si), node_of(di), msg));
-                    if let Some(&(n_at, n_seq, _)) = pq.q.front() {
-                        self.ready
-                            .push(Reverse((n_at, n_seq, si as u32, di as u32)));
-                    }
-                }
-                // Stale heap entry (superseded by an out-of-order
-                // insert); the live head has its own entry.
-                _ => {}
-            }
+        while self.next_delivery().is_some_and(|at| at <= now) {
+            let Reverse(m) = self.in_flight.pop().expect("peeked message exists");
+            out.push((m.src, m.dst, m.msg));
         }
     }
 
     /// Delivery time of the earliest in-flight message, if any — a bound
-    /// for the machine's idle-cycle fast-forward. May be conservatively
-    /// early (never late) if stale heap entries are pending collection.
+    /// for the machine's whole-machine time jump.
     pub fn next_delivery(&self) -> Option<Cycle> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        self.ready.peek().map(|&Reverse((at, ..))| at)
+        self.in_flight.peek().map(|Reverse(m)| m.deliver_at)
     }
 
     /// Number of messages still in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.in_flight.len()
     }
 
     /// Total messages ever sent (for the Section 9.1.3 traffic report).
@@ -391,8 +311,7 @@ mod tests {
     #[test]
     fn cross_pair_delivery_is_in_global_send_order() {
         // Two pairs with the same latency sending on the same cycle:
-        // simultaneous arrivals are delivered in send (seq) order, even
-        // though they live in different pair queues.
+        // simultaneous arrivals are delivered in send (seq) order.
         let mut noc = Noc::new(4, 2, 1);
         noc.send(Cycle(0), NodeId::Core(CoreId(1)), NodeId::Slice(1), gets(1));
         noc.send(Cycle(0), NodeId::Core(CoreId(0)), NodeId::Slice(0), gets(0));
@@ -406,8 +325,7 @@ mod tests {
 
     #[test]
     fn backdated_send_still_delivers_in_time_order() {
-        // Callers that move `now` backwards (unit tests) exercise the
-        // sorted-insert fallback; delivery must still come out in
+        // A caller that moves `now` backwards still gets delivery in
         // (deliver_at, seq) order.
         let mut noc = Noc::new(4, 2, 1);
         let src = NodeId::Core(CoreId(0));
@@ -488,55 +406,5 @@ mod tests {
         let noc = Noc::new(2, 1, 1);
         // Node index 5 wraps to tile 1 on a 2-tile mesh.
         assert_eq!(noc.hops(NodeId::Core(CoreId(5)), NodeId::Slice(1)), 0);
-    }
-
-    #[test]
-    fn long_runs_keep_memory_flat() {
-        // Regression for the old `last_slice_delivery: HashMap` which
-        // retained an entry for every (src, dst) pair ever seen: the
-        // dense pair table is sized by the node population, and neither
-        // it nor the ready-heap grows with traffic volume.
-        let mut noc = Noc::with_nodes(4, 2, 1, 8, 8);
-        noc.enable_faults(0xFA017, 5);
-        let mut footprint_after_first_round = None;
-        let mut now = Cycle(0);
-        for round in 0..200 {
-            for c in 0..8 {
-                for s in 0..8 {
-                    noc.send(now, NodeId::Core(CoreId(c)), NodeId::Slice(s), gets(c));
-                    noc.send(
-                        now,
-                        NodeId::Slice(s),
-                        NodeId::Core(CoreId(c)),
-                        Msg::Clear {
-                            line: Addr::new(0x40).line(),
-                        },
-                    );
-                }
-            }
-            // Drain fully (faults add at most 5 extra cycles).
-            now += 64;
-            let delivered = noc.deliver(now).len();
-            assert_eq!(delivered, 128, "round {round} did not drain");
-            assert_eq!(noc.in_flight(), 0);
-            assert_eq!(noc.ready_len(), 0, "ready-heap leak at round {round}");
-            let footprint = noc.pair_slots();
-            match footprint_after_first_round {
-                None => footprint_after_first_round = Some(footprint),
-                Some(first) => {
-                    assert_eq!(footprint, first, "pair table grew at round {round}")
-                }
-            }
-        }
-        assert_eq!(noc.pair_slots(), 16 * 16);
-    }
-
-    #[test]
-    fn with_nodes_presizes_the_pair_table() {
-        let noc = Noc::with_nodes(4, 2, 1, 8, 8);
-        // Highest dense index: slice 7 -> 2*7+1 = 15, so a 16x16 table.
-        assert_eq!(noc.pair_slots(), 256);
-        let noc = Noc::new(4, 2, 1);
-        assert_eq!(noc.pair_slots(), 0);
     }
 }

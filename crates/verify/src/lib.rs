@@ -50,6 +50,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use pl_base::digest::Fnv1a;
 use pl_base::{
     CheckEvent, CheckObserver, CoreId, Cycle, DefenseScheme, LineAddr, MachineConfig,
     MachineSnapshot, PinMode, PinnedLoadsConfig,
@@ -155,23 +156,12 @@ pub struct Checker {
     /// CPT capacity per core, learned from snapshots (`None` = ideal).
     cpt_capacity: HashMap<CoreId, Option<usize>>,
     /// FNV-1a digest and count of retired-load records per core.
-    load_digests: HashMap<CoreId, (u64, u64)>,
+    load_digests: HashMap<CoreId, (Fnv1a, u64)>,
     violations: Vec<Violation>,
     total_violations: u64,
     events: u64,
     snapshots: u64,
     run_completed: bool,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl Checker {
@@ -197,10 +187,8 @@ impl Checker {
     /// multicore machines spin-loop iteration counts legitimately vary
     /// with timing, so only compare it across identical configurations.
     pub fn load_digest(&self, core: CoreId) -> (u64, u64) {
-        self.load_digests
-            .get(&core)
-            .copied()
-            .unwrap_or((FNV_OFFSET, 0))
+        let (h, n) = self.load_digests.get(&core).copied().unwrap_or_default();
+        (h.finish(), n)
     }
 
     fn violation(&mut self, now: Cycle, invariant: &'static str, detail: String) {
@@ -292,9 +280,11 @@ impl CheckObserver for Checker {
                     // state digest must stay latency-free.
                     latency: _,
                 } => {
-                    let entry = self.load_digests.entry(core).or_insert((FNV_OFFSET, 0));
-                    entry.0 = fnv1a(fnv1a(fnv1a(entry.0, seq), addr.raw()), value);
-                    entry.1 += 1;
+                    let (h, n) = self.load_digests.entry(core).or_default();
+                    h.write_u64(seq);
+                    h.write_u64(addr.raw());
+                    h.write_u64(value);
+                    *n += 1;
                     self.vp_bits.remove(&(core, seq));
                 }
                 CheckEvent::Squashed { core, first_bad } => {

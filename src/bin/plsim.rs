@@ -184,13 +184,15 @@ fn build_config(args: &Args) -> MachineConfig {
     } else {
         MachineConfig::default_single_core()
     };
+    // `--cores 0` must reach `validate`, not fall back to one core.
+    cfg.num_cores = args.cores;
     cfg.defense = args.scheme;
     cfg.threat_model = args.threat;
     cfg.pinned_loads = PinnedLoadsConfig::with_mode(args.pin);
     cfg.core.conservative_tso = args.conservative_tso;
     if let Err(e) = cfg.validate() {
         let flag = match e {
-            ConfigError::TooManyCores(_) => "--cores: ",
+            ConfigError::ZeroCores | ConfigError::TooManyCores(_) => "--cores: ",
             _ => "",
         };
         eprintln!("invalid configuration: {flag}{e}");
@@ -215,9 +217,9 @@ fn build_workload(args: &Args) -> (String, Workload) {
         });
         let w = Workload {
             name: path.clone(),
-            programs: vec![program; args.cores.max(1)],
+            programs: vec![program; args.cores],
             init_mem: Vec::new(),
-            init_regs: vec![Vec::new(); args.cores.max(1)],
+            init_regs: vec![Vec::new(); args.cores],
         };
         (path.clone(), w)
     } else {

@@ -30,3 +30,13 @@ fn too_many_cores_exit_2_naming_the_flag() {
         assert!(err.contains("at most 64"), "{err}");
     }
 }
+
+#[test]
+fn zero_cores_exit_2_naming_the_flag() {
+    let out = plsim(&["--workload", "stream", "--cores", "0", "--scale", "test"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--cores 0: {err}");
+    assert!(err.contains("--cores"), "{err}");
+    assert!(err.contains("at least one core"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing was simulated");
+}
