@@ -73,6 +73,33 @@ fn fast_forward_is_bit_identical_on_spec_kernels() {
     }
 }
 
+/// A slice timer can come due in the cycle that arms it: with a zero
+/// DRAM latency, a fetch a message starts completes in that same cycle's
+/// slice tick. The naive loop ticks every slice after delivery, so the
+/// scheduled loop must read each slice's next timer after delivery too.
+#[test]
+fn fast_forward_is_bit_identical_with_zero_dram_latency() {
+    let mixed = spec_suite(Scale::Test)
+        .into_iter()
+        .find(|w| w.name == "mixed")
+        .expect("spec suite has `mixed`");
+    let suite = parallel_suite(4, Scale::Test);
+    let mut jobs: Vec<_> = configs().into_iter().map(|cfg| (cfg, &mixed)).collect();
+    // suite[2]: prod_cons, whose lines move between cores through the
+    // directory.
+    jobs.push((MachineConfig::default_multi_core(4), &suite[2]));
+    for (mut cfg, w) in jobs {
+        cfg.mem.dram_latency = 0;
+        assert_eq!(
+            fingerprint(cfg.clone(), w, false),
+            fingerprint(cfg.clone(), w, true),
+            "kernel `{}` diverged under {} with zero DRAM latency",
+            w.name,
+            cfg.label()
+        );
+    }
+}
+
 #[test]
 fn fast_forward_is_bit_identical_across_the_parallel_matrix() {
     // Full scheme × core-count matrix. Core counts below, at, and above
